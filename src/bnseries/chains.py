@@ -24,11 +24,6 @@ class ConstructionFailed(RuntimeError):
     """No candidate split validates; must not happen when the criterion holds."""
 
 
-def component_rho(genus: int, left_ram: RamSeq, right_ram: RamSeq) -> int:
-    r, d = left_ram.r, left_ram.d
-    return (r + 1) * (d - r) - r * genus - left_ram.total() - right_ram.total()
-
-
 @dataclass(frozen=True)
 class ChainComponent:
     """One component of a chain, marked on the left and right.
@@ -51,8 +46,12 @@ class ChainComponent:
             raise ValueError("left/right sequences must share the (r, d) context")
 
 
+def _component(p: BNProblem) -> ChainComponent:
+    return ChainComponent(p.g, p.alpha1, p.alpha2, rho(p))
+
+
 def make_component(genus: int, left_ram: RamSeq, right_ram: RamSeq) -> ChainComponent:
-    return ChainComponent(genus, left_ram, right_ram, component_rho(genus, left_ram, right_ram))
+    return _component(BNProblem(genus, left_ram.r, left_ram.d, left_ram, right_ram))
 
 
 @dataclass(frozen=True)
@@ -68,13 +67,6 @@ class ChainWitness:
         for c in self.components:
             if (c.left_ram.r, c.left_ram.d) != (self.r, self.d):
                 raise ValueError("component context does not match the chain")
-
-
-def base_case_ok(genus: int, left_ram: RamSeq, right_ram: RamSeq) -> bool:
-    """Genus-0/1 nonemptiness for a component marked with (left, right)."""
-    return nonempty_criterion(
-        BNProblem(genus, left_ram.r, left_ram.d, left_ram, right_ram)
-    )
 
 
 def _split_candidates(p: BNProblem) -> list[RamSeq]:
@@ -107,10 +99,10 @@ def split_once(p: BNProblem) -> tuple[RamSeq, RamSeq]:
     if not nonempty_criterion(p):
         raise ValueError("split_once needs a problem satisfying the criterion")
     for alpha_y in _split_candidates(p):
+        if not nonempty_criterion(BNProblem(1, p.r, p.d, p.alpha1, alpha_y)):
+            continue
         alpha_z = refined_complement(alpha_y)
-        left = BNProblem(1, p.r, p.d, p.alpha1, alpha_y)
-        rest = BNProblem(p.g - 1, p.r, p.d, alpha_z, p.alpha2)
-        if nonempty_criterion(left) and nonempty_criterion(rest):
+        if nonempty_criterion(BNProblem(p.g - 1, p.r, p.d, alpha_z, p.alpha2)):
             return alpha_y, alpha_z
     raise ConstructionFailed(
         f"no valid split for g={p.g}, r={p.r}, d={p.d}, "
@@ -132,7 +124,7 @@ def build_chain(p: BNProblem) -> ChainWitness | None:
         alpha_y, alpha_z = split_once(current)
         components.append(make_component(1, current.alpha1, alpha_y))
         current = BNProblem(current.g - 1, p.r, p.d, alpha_z, current.alpha2)
-    components.append(make_component(current.g, current.alpha1, current.alpha2))
+    components.append(_component(current))
     return ChainWitness(p.r, p.d, tuple(components), rho(p))
 
 
@@ -149,10 +141,11 @@ def chain_violations(w: ChainWitness, p: BNProblem) -> list[str]:
         return out
     n = len(w.components)
     for i, c in enumerate(w.components):
-        expected = component_rho(c.genus, c.left_ram, c.right_ram)
+        cp = BNProblem(c.genus, w.r, w.d, c.left_ram, c.right_ram)
+        expected = rho(cp)
         if c.component_rho != expected:
             out.append(f"component {i}: stored rho {c.component_rho} != {expected}")
-        if not base_case_ok(c.genus, c.left_ram, c.right_ram):
+        if not nonempty_criterion(cp):
             out.append(f"component {i}: genus-{c.genus} base-case criterion fails")
     for i in range(n - 1):
         right = w.components[i].right_ram

@@ -14,21 +14,14 @@ request document via --json.  All output is byte-deterministic.
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import Iterator
 
-from .chains import (
-    ConstructionFailed,
-    build_chain,
-    chain_violations,
-    witness_from_dict,
-    witness_to_dict,
-)
-from .core import BNProblem, VanishingSeq, all_ram_seqs, nonempty_criterion, problem, rho
+from .chains import build_chain, chain_violations, witness_from_dict, witness_to_dict
+from .core import BNProblem, VanishingSeq, all_ram_seqs, nonempty_criterion, problem, rho, zero_ram
 from .oracle import (
-    InfeasibleSize,
-    NoFit,
     count_series,
-    dim_fit,
+    dim_or_nofit,
     ec_descriptor_scan,
     ec_order_diff,
     load_fixture,
@@ -40,7 +33,6 @@ from .strata import (
     component_problems,
     enumerate_refined_strata,
     fiber_dim_bound,
-    glued_problem,
     stratum_expected_dim,
 )
 
@@ -49,15 +41,22 @@ class InvalidRequest(ValueError):
     """Malformed request: bad JSON, unknown command, or invalid parameters."""
 
 
+# JSON values that int() would accept but that are not integers
+_NOT_INT = frozenset((bool, float))
+
+
 def _parse_seq(value, what: str) -> tuple[int, ...]:
     if isinstance(value, str):
         parts = [s for s in value.replace(" ", "").split(",") if s]
     elif isinstance(value, (list, tuple)):
-        parts = list(value)
+        parts = value
+        if not _NOT_INT.isdisjoint(map(type, parts)):
+            bad = next(x for x in parts if type(x) in _NOT_INT)
+            raise InvalidRequest(f"{what} must contain integers, got {json.dumps(bad)}")
     else:
         raise InvalidRequest(f"{what} must be a comma-separated list of integers")
     try:
-        return tuple(int(x) for x in parts)
+        return tuple(map(int, parts))
     except (TypeError, ValueError) as exc:
         raise InvalidRequest(f"{what} must contain integers: {exc}") from exc
 
@@ -65,8 +64,11 @@ def _parse_seq(value, what: str) -> tuple[int, ...]:
 def _get_int(params: dict, key: str, minimum: int | None = None) -> int:
     if key not in params or params[key] is None:
         raise InvalidRequest(f"missing required parameter '{key}'")
+    raw = params[key]
     try:
-        value = int(params[key])
+        if type(raw) in _NOT_INT:
+            raise TypeError(type(raw).__name__)
+        value = int(raw)
     except (TypeError, ValueError) as exc:
         raise InvalidRequest(f"parameter '{key}' must be an integer") from exc
     if minimum is not None and value < minimum:
@@ -110,9 +112,12 @@ def _cmd_rho(params: dict):
     return "ok", {"rho": rho(p)}
 
 
-def _cmd_check(params: dict):
-    p = _build_problem(params)
+def _check(p: BNProblem):
     return "ok", {"nonempty": nonempty_criterion(p), "rho": rho(p)}
+
+
+def _cmd_check(params: dict):
+    return _check(_build_problem(params))
 
 
 def _cmd_strata(params: dict):
@@ -125,8 +130,8 @@ def _cmd_strata(params: dict):
     if with_problem:
         gy = _get_int(params, "gy", 0)
         gz = _get_int(params, "gz", 0)
-        base = _build_problem({**params, "g": gy + gz})
-        two = TwoComponentProblem(gy, gz, r, d, base.alpha1, base.alpha2)
+        glued = _build_problem({**params, "g": gy + gz})
+        two = TwoComponentProblem(gy, gz, r, d, glued.alpha1, glued.alpha2)
     strata = []
     for s in enumerate_refined_strata(r, d):
         entry = {
@@ -143,7 +148,7 @@ def _cmd_strata(params: dict):
         strata.append(entry)
     payload = {"r": r, "d": d, "count": len(strata), "strata": strata}
     if two is not None:
-        payload["glued_rho"] = rho(glued_problem(two))
+        payload["glued_rho"] = rho(glued)
         payload["nonempty"] = any(e["y_nonempty"] and e["z_nonempty"] for e in strata)
     return "ok", payload
 
@@ -162,6 +167,10 @@ def _cmd_chain(params: dict):
             raise InvalidRequest(str(exc)) from exc
         violations = chain_violations(w, p)
         return "ok", {"valid": not violations, "violations": violations}
+    return _chain(p)
+
+
+def _chain(p: BNProblem):
     w = build_chain(p)
     if w is None:
         return "empty", {"nonempty": False, "rho": rho(p)}
@@ -218,25 +227,16 @@ def _cmd_oracle_verify(params: dict):
         profile = profile_complementary(d + 1)
         counts = [[q, count_series(q, profile, r, a1.entries, a2.entries)] for q in (2, 3, 4)]
         if expected is None:
-            agree = all(n == 0 for _, n in counts)
-            payload = {
-                "genus": 0,
-                "richardson_dim": None,
-                "counts": counts,
-                "fitted_dim": None,
-                "agree": agree,
-            }
-            return "empty", payload
-        try:
-            fitted = dim_fit(counts)
-        except NoFit:
-            fitted = "nofit"
-        return "ok", {
+            fitted, agree = None, all(n == 0 for _, n in counts)
+        else:
+            fitted = dim_or_nofit(counts)
+            agree = fitted == expected
+        return ("empty" if expected is None else "ok"), {
             "genus": 0,
             "richardson_dim": expected,
             "counts": counts,
             "fitted_dim": fitted,
-            "agree": fitted == expected,
+            "agree": agree,
         }
     if genus == 1:
         p = _build_problem({**params, "g": 1})
@@ -272,7 +272,10 @@ def _cmd_oracle_verify(params: dict):
 
 
 def iter_sweep(params: dict) -> Iterator[dict]:
-    """One result object per grid point, in grid order."""
+    """One result object per grid point, in grid order.
+
+    Points are built from the enumerated sequences, not parsed as requests.
+    """
     g_max = _get_int(params, "g_max", 0)
     r_max = _get_int(params, "r_max", 0)
     d_max = _get_int(params, "d_max", 0)
@@ -282,36 +285,49 @@ def iter_sweep(params: dict) -> Iterator[dict]:
     alphas = params.get("alphas", "zero")
     if alphas not in ("zero", "all"):
         raise InvalidRequest("alphas must be 'zero' or 'all'")
-    handler = _cmd_check if command == "check" else _cmd_chain
+    solve = _check if command == "check" else _chain
     for g in range(g_max + 1):
         for d in range(d_max + 1):
             for r in range(min(r_max, d) + 1):
-                if alphas == "zero":
-                    pairs = [((0,) * (r + 1), (0,) * (r + 1))]
-                else:
-                    seqs = [s.entries for s in all_ram_seqs(r, d)]
-                    pairs = [(s1, s2) for s1 in seqs for s2 in seqs]
-                for a1, a2 in pairs:
-                    point = {"g": g, "r": r, "d": d, "alpha1": list(a1), "alpha2": list(a2)}
-                    status, payload = handler(
-                        {"g": g, "r": r, "d": d, "alpha1": a1, "alpha2": a2}
-                    )
-                    yield {"params": point, "status": status, "payload": payload}
+                seqs = [zero_ram(r, d)] if alphas == "zero" else list(all_ram_seqs(r, d))
+                for a1 in seqs:
+                    for a2 in seqs:
+                        point = {"g": g, "r": r, "d": d, "alpha1": list(a1), "alpha2": list(a2)}
+                        status, payload = solve(BNProblem(g, r, d, a1, a2))
+                        yield {"params": point, "status": status, "payload": payload}
 
 
 def _cmd_sweep(params: dict):
     return "ok", {"points": list(iter_sweep(params))}
 
 
-_HANDLERS = {
-    "rho": _cmd_rho,
-    "check": _cmd_check,
-    "strata": _cmd_strata,
-    "chain": _cmd_chain,
-    "realize": _cmd_realize,
-    "oracle-verify": _cmd_oracle_verify,
-    "sweep": _cmd_sweep,
+# argparse keyword arguments of every flag; each command lists the flags it takes
+_FLAGS = {
+    **dict.fromkeys(("g", "r", "d", "gy", "gz", "genus", "g_max", "r_max", "d_max"), {"type": int}),
+    **dict.fromkeys(("alpha1", "alpha2", "a1", "a2"), {"type": str}),
+    "witness_file": {"type": str, "help": "witness JSON path, or '-' for stdin"},
+    "verify": {"action": "store_true"},
+    "fixture": {"type": str, "default": "general"},
+    "command": {"type": str, "default": "check"},
+    "alphas": {"type": str, "default": "zero"},
 }
+_PROBLEM = ("g", "r", "d", "alpha1", "alpha2")
+_COMMANDS = {
+    "rho": (_cmd_rho, _PROBLEM),
+    "check": (_cmd_check, _PROBLEM),
+    "strata": (_cmd_strata, ("r", "d", "gy", "gz", "alpha1", "alpha2")),
+    "chain": (_cmd_chain, _PROBLEM + ("witness_file", "verify")),
+    "realize": (_cmd_realize, ("genus", "r", "d", "a1", "a2")),
+    "oracle-verify": (_cmd_oracle_verify, ("genus", "r", "d", "a1", "a2", "alpha1", "alpha2", "fixture")),
+    "sweep": (_cmd_sweep, ("g_max", "r_max", "d_max", "command", "alphas")),
+}
+
+
+def _error(exc: Exception) -> tuple[dict, int]:
+    """Error envelope and exit code: 1 for invalid input, 2 for any other failure."""
+    invalid = isinstance(exc, ValueError)  # InvalidRequest included
+    diagnostic = str(exc) if invalid else f"{type(exc).__name__}: {exc}"
+    return {"status": "error", "payload": {}, "diagnostics": [diagnostic]}, 1 if invalid else 2
 
 
 def run(request: dict) -> tuple[dict, int]:
@@ -320,33 +336,15 @@ def run(request: dict) -> tuple[dict, int]:
         if not isinstance(request, dict):
             raise InvalidRequest("request must be a JSON object")
         command = request.get("command")
-        if command not in _HANDLERS:
+        if command not in _COMMANDS:
             raise InvalidRequest(f"unknown command {command!r}")
         params = request.get("params", {})
         if not isinstance(params, dict):
             raise InvalidRequest("params must be a JSON object")
-        status, payload = _HANDLERS[command](params)
+        status, payload = _COMMANDS[command][0](params)
         return {"status": status, "payload": payload, "diagnostics": []}, 0
-    except (ConstructionFailed, InfeasibleSize, NoFit) as exc:
-        return (
-            {
-                "status": "error",
-                "payload": {},
-                "diagnostics": [f"{type(exc).__name__}: {exc}"],
-            },
-            2,
-        )
-    except (InvalidRequest, ValueError) as exc:
-        return {"status": "error", "payload": {}, "diagnostics": [str(exc)]}, 1
-    except Exception as exc:  # internal failure, still machine readable
-        return (
-            {
-                "status": "error",
-                "payload": {},
-                "diagnostics": [f"{type(exc).__name__}: {exc}"],
-            },
-            2,
-        )
+    except Exception as exc:  # every failure, internal ones included, stays machine readable
+        return _error(exc)
 
 
 def _dump(obj) -> str:
@@ -366,79 +364,23 @@ def _build_parser() -> _Parser:
         help="full request document as a JSON string, or '-' to read stdin",
     )
     sub = parser.add_subparsers(dest="cmd")
-
-    def add(name, **flags):
+    for name, (_, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        for flag, kwargs in flags.items():
-            sp.add_argument(f"--{flag.replace('_', '-')}", **kwargs)
-        return sp
-
-    for name in ("rho", "check"):
-        add(
-            name,
-            g={"type": int},
-            r={"type": int},
-            d={"type": int},
-            alpha1={"type": str},
-            alpha2={"type": str},
-        )
-    add(
-        "strata",
-        r={"type": int},
-        d={"type": int},
-        gy={"type": int},
-        gz={"type": int},
-        alpha1={"type": str},
-        alpha2={"type": str},
-    )
-    chain = add(
-        "chain",
-        g={"type": int},
-        r={"type": int},
-        d={"type": int},
-        alpha1={"type": str},
-        alpha2={"type": str},
-        witness_file={"type": str, "help": "witness JSON path, or '-' for stdin"},
-    )
-    chain.add_argument("--verify", action="store_true")
-    add(
-        "realize",
-        genus={"type": int},
-        r={"type": int},
-        d={"type": int},
-        a1={"type": str},
-        a2={"type": str},
-    )
-    add(
-        "oracle-verify",
-        genus={"type": int},
-        r={"type": int},
-        d={"type": int},
-        a1={"type": str},
-        a2={"type": str},
-        alpha1={"type": str},
-        alpha2={"type": str},
-        fixture={"type": str, "default": "general"},
-    )
-    add(
-        "sweep",
-        g_max={"type": int},
-        r_max={"type": int},
-        d_max={"type": int},
-        command={"type": str, "default": "check"},
-        alphas={"type": str, "default": "zero"},
-    )
+        for flag in flags:
+            sp.add_argument(f"--{flag.replace('_', '-')}", **_FLAGS[flag])
     return parser
+
+
+def _load_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidRequest(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _request_from_args(args) -> dict:
     if args.json is not None:
-        text = sys.stdin.read() if args.json == "-" else args.json
-        try:
-            request = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidRequest(f"request is not valid JSON: {exc}") from exc
-        return request
+        return _load_json(sys.stdin.read() if args.json == "-" else args.json, "request")
     if args.cmd is None:
         raise InvalidRequest("no command given (see --help)")
     params = {
@@ -446,51 +388,28 @@ def _request_from_args(args) -> dict:
         for k, v in vars(args).items()
         if k not in ("cmd", "json") and v is not None and v is not False
     }
-    if args.cmd == "chain" and params.pop("witness_file", None) is not None:
-        path = args.witness_file
-        try:
-            text = sys.stdin.read() if path == "-" else open(path).read()
-        except OSError as exc:
-            raise InvalidRequest(f"cannot read witness file: {exc}") from exc
-        try:
-            params["witness"] = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidRequest(f"witness is not valid JSON: {exc}") from exc
-    elif args.cmd == "chain" and getattr(args, "verify", False) and "witness" not in params:
-        try:
-            params["witness"] = json.loads(sys.stdin.read())
-        except json.JSONDecodeError as exc:
-            raise InvalidRequest(f"witness is not valid JSON: {exc}") from exc
+    if args.cmd == "chain":
+        # --verify without --witness-file reads the witness from stdin
+        path = params.pop("witness_file", "-" if args.verify else None)
+        if path is not None:
+            try:
+                text = sys.stdin.read() if path == "-" else Path(path).read_text()
+            except OSError as exc:
+                raise InvalidRequest(f"cannot read witness file: {exc}") from exc
+            params["witness"] = _load_json(text, "witness")
     return {"command": args.cmd, "params": params}
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        request = _request_from_args(args)
-    except InvalidRequest as exc:
-        print(_dump({"status": "error", "payload": {}, "diagnostics": [str(exc)]}))
-        return 1
-    if isinstance(request, dict) and request.get("command") == "sweep":
-        try:
+        request = _request_from_args(_build_parser().parse_args(argv))
+        if isinstance(request, dict) and request.get("command") == "sweep":
             for line in iter_sweep(request.get("params", {})):
                 print(_dump(line))
             return 0
-        except (ConstructionFailed, InfeasibleSize, NoFit) as exc:
-            print(
-                _dump(
-                    {
-                        "status": "error",
-                        "payload": {},
-                        "diagnostics": [f"{type(exc).__name__}: {exc}"],
-                    }
-                )
-            )
-            return 2
-        except (InvalidRequest, ValueError) as exc:
-            print(_dump({"status": "error", "payload": {}, "diagnostics": [str(exc)]}))
-            return 1
-    response, code = run(request)
+        response, code = run(request)
+    except Exception as exc:  # same envelope and exit codes as run()
+        response, code = _error(exc)
     print(_dump(response))
     return code
 

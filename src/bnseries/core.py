@@ -17,6 +17,10 @@ Conventions used throughout the package:
 
       sum_j max(0, alpha1_j + alpha2_{r-j} + r - d + g)  <=  g.
 
+* ``gaps(x, y, bound) = [x_j + y_{r-j} - bound]`` is the single home of that
+  two-point pairing: the criterion, the node condition of ``strata`` and the
+  genus-0/1 base cases of ``realize`` all read their answers off it.
+
 All arithmetic is exact; every function in this module is pure and safe to
 call concurrently.
 """
@@ -27,79 +31,72 @@ from typing import Iterator
 
 
 @dataclass(frozen=True)
-class RamSeq:
-    """Ramification sequence with its (r, d) context; r is len(entries) - 1."""
+class _Seq:
+    """Validated integer sequence with its (r, d) context; r is len(entries) - 1.
+
+    Subclasses set the bound (entries lie in [0, d - _shift * r]), the order
+    (each entry is at least the previous one plus _step) and the wording of
+    the messages (_kind, _order, and the _outside format).
+    """
 
     entries: tuple[int, ...]
     d: int
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
-        object.__setattr__(self, "d", int(self.d))
-        if len(self.entries) == 0:
-            raise ValueError("ramification sequence must be nonempty")
-        r = len(self.entries) - 1
-        if not 0 <= r <= self.d:
-            raise ValueError(f"need 0 <= r <= d, got r={r}, d={self.d}")
-        bound = self.d - r
-        for j, a in enumerate(self.entries):
+        entries = tuple(map(int, self.entries))
+        d = int(self.d)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "d", d)
+        if len(entries) == 0:
+            raise ValueError(f"{self._kind} sequence must be nonempty")
+        r = len(entries) - 1
+        if not 0 <= r <= d:
+            raise ValueError(f"need 0 <= r <= d, got r={r}, d={d}")
+        bound = d - self._shift * r
+        step = self._step
+        low = 0  # the least value the next entry may take
+        for j, a in enumerate(entries):
             if not 0 <= a <= bound:
-                raise ValueError(
-                    f"entry alpha_{j}={a} outside [0, {bound}] for r={r}, d={self.d}"
-                )
-            if j > 0 and a < self.entries[j - 1]:
-                raise ValueError(f"entries not nondecreasing at index {j}")
+                raise ValueError(self._outside.format(j=j, a=a, bound=bound, r=r, d=d))
+            if a < low:
+                raise ValueError(f"entries not {self._order} at index {j}")
+            low = a + step
 
     @property
     def r(self) -> int:
         return len(self.entries) - 1
+
+    def __len__(self):
+        return len(self.entries)
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __getitem__(self, j):
+        return self.entries[j]
+
+
+class RamSeq(_Seq):
+    """Ramification sequence: nondecreasing entries alpha_j in [0, d - r]."""
+
+    _kind = "ramification"
+    _shift = 1
+    _step = 0
+    _order = "nondecreasing"
+    _outside = "entry alpha_{j}={a} outside [0, {bound}] for r={r}, d={d}"
 
     def total(self) -> int:
         return sum(self.entries)
 
-    def __len__(self):
-        return len(self.entries)
 
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, j):
-        return self.entries[j]
-
-
-@dataclass(frozen=True)
-class VanishingSeq:
+class VanishingSeq(_Seq):
     """Strictly increasing vanishing orders a_0 < ... < a_r in [0, d]."""
 
-    entries: tuple[int, ...]
-    d: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
-        object.__setattr__(self, "d", int(self.d))
-        if len(self.entries) == 0:
-            raise ValueError("vanishing sequence must be nonempty")
-        r = len(self.entries) - 1
-        if not 0 <= r <= self.d:
-            raise ValueError(f"need 0 <= r <= d, got r={r}, d={self.d}")
-        for j, a in enumerate(self.entries):
-            if not 0 <= a <= self.d:
-                raise ValueError(f"entry a_{j}={a} outside [0, {self.d}]")
-            if j > 0 and a <= self.entries[j - 1]:
-                raise ValueError(f"entries not strictly increasing at index {j}")
-
-    @property
-    def r(self) -> int:
-        return len(self.entries) - 1
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, j):
-        return self.entries[j]
+    _kind = "vanishing"
+    _shift = 0
+    _step = 1
+    _order = "strictly increasing"
+    _outside = "entry a_{j}={a} outside [0, {bound}]"
 
 
 def to_vanishing(alpha: RamSeq) -> VanishingSeq:
@@ -162,16 +159,22 @@ def rho(p: BNProblem) -> int:
     )
 
 
+def gaps(x: _Seq, y: _Seq, bound: int) -> list[int]:
+    """The two-point pairing [x_j + y_{r-j} - bound for j = 0..r]; x and y share r."""
+    out = []  # a plain loop is cheaper than a comprehension on these short sequences
+    for a, b in zip(x.entries, y.entries[::-1]):
+        out.append(a + b - bound)
+    return out
+
+
 def criterion_sum(p: BNProblem) -> int:
     """Total positive part sum_j max(0, alpha1_j + alpha2_{r-j} + r - d + g).
 
     The summand is positive exactly on the index set of the nonemptiness
     inequality, so the criterion is ``criterion_sum(p) <= g``.
     """
-    r, d, g = p.r, p.d, p.g
     total = 0
-    for j in range(r + 1):
-        s = p.alpha1[j] + p.alpha2[r - j] + r - d + g
+    for s in gaps(p.alpha1, p.alpha2, p.d - p.r - p.g):
         if s > 0:
             total += s
     return total

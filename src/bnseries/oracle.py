@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .core import BNProblem, to_vanishing
-from .elliptic import discriminant, ec_add, ec_neg, is_on_curve, point_order
+from .core import BNProblem, VanishingSeq, to_vanishing
+from .elliptic import discriminant, ec_add, ec_neg, is_on_curve, is_prime, point_order
 from .gf import gaussian_binomial, gf, lead_positions, rref_matrices
 from .realize import LineBundleDescriptor, generic_bundle, special_bundle
 
@@ -145,7 +145,11 @@ def basis_orders(profile: FlagProfile) -> tuple[tuple[int, int], ...]:
 def _enum_budget(budget: int | None) -> int:
     if budget is not None:
         return int(budget)
-    return int(os.environ.get("BN_ENUM_BUDGET", DEFAULT_ENUM_BUDGET))
+    raw = os.environ.get("BN_ENUM_BUDGET", DEFAULT_ENUM_BUDGET)
+    try:
+        return int(raw)
+    except ValueError:  # a configuration failure, not invalid input
+        raise RuntimeError(f"BN_ENUM_BUDGET must be an integer, got {raw!r}") from None
 
 
 _HIST_CACHE: dict = {}
@@ -180,18 +184,6 @@ def _subspace_histogram(q: int, profile: FlagProfile, k: int, budget: int) -> di
     return hist
 
 
-def _as_orders(seq, r: int, n: int) -> tuple[int, ...]:
-    entries = tuple(int(x) for x in seq)
-    if len(entries) != r + 1:
-        raise ValueError(f"expected {r + 1} vanishing orders, got {len(entries)}")
-    for j, a in enumerate(entries):
-        if not 0 <= a <= n:
-            raise ValueError(f"vanishing order {a} outside [0, {n}]")
-        if j > 0 and a <= entries[j - 1]:
-            raise ValueError("vanishing orders must be strictly increasing")
-    return entries
-
-
 def count_series(q, profile: FlagProfile, r, a1, a2, budget: int | None = None) -> int:
     """Number of (r+1)-subspaces of F_q^n with vanishing >= a1, a2 at the flags.
 
@@ -204,8 +196,11 @@ def count_series(q, profile: FlagProfile, r, a1, a2, budget: int | None = None) 
         raise ValueError("supported field sizes are 2, 3 and 4")
     n = profile.n
     k = r + 1
-    want1 = _as_orders(a1, r, n)
-    want2 = _as_orders(a2, r, n)
+    want1 = VanishingSeq(a1, n).entries
+    want2 = VanishingSeq(a2, n).entries
+    for want in (want1, want2):
+        if len(want) != k:
+            raise ValueError(f"expected {k} vanishing orders, got {len(want)}")
     if k > n:
         return 0
     hist = _subspace_histogram(q, profile, k, _enum_budget(budget))
@@ -288,6 +283,14 @@ def dim_fit(counts) -> int | None:
     return degrees.pop()
 
 
+def dim_or_nofit(counts) -> int | str | None:
+    """dim_fit, with "nofit" in place of the NoFit error (the reports' convention)."""
+    try:
+        return dim_fit(counts)
+    except NoFit:
+        return "nofit"
+
+
 @dataclass(frozen=True)
 class EllipticModel:
     """A curve y^2 = x^3 + a x + b over F_p with marked points P1, P2.
@@ -306,7 +309,7 @@ class EllipticModel:
     def __post_init__(self):
         object.__setattr__(self, "p1", tuple(self.p1))
         object.__setattr__(self, "p2", tuple(self.p2))
-        if self.p < 5 or any(self.p % f == 0 for f in range(2, int(self.p**0.5) + 1)):
+        if self.p < 5 or not is_prime(self.p):
             raise ValueError(f"{self.p} is not an odd prime >= 5")
         if discriminant(self.p, self.a, self.b) == 0:
             raise ValueError("curve is singular")
@@ -348,16 +351,12 @@ def ec_descriptor_scan(
     for bundle in all_descriptors(p.d):
         profile = profile_g1(bundle, diff_order=order)
         counts = [(q, count_series(q, profile, p.r, a1, a2, budget=budget)) for q in qs]
-        try:
-            fitted = dim_fit(counts)
-        except NoFit:
-            fitted = "nofit"
         report["descriptors"].append(
             {
                 "bundle": "generic" if bundle.a is None else f"special({bundle.a})",
                 "a": bundle.a,
                 "counts": counts,
-                "dim": fitted,
+                "dim": dim_or_nofit(counts),
                 "nonempty": any(n > 0 for _, n in counts),
             }
         )

@@ -20,7 +20,7 @@ All linear algebra is exact over the rationals.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import VanishingSeq
+from .core import VanishingSeq, gaps
 
 
 class DegenerateBasis(ValueError):
@@ -72,22 +72,27 @@ def special_bundle(d: int, a: int) -> LineBundleDescriptor:
     return LineBundleDescriptor(d, a)
 
 
+def _excess(r: int, d: int, a1: VanishingSeq, a2: VanishingSeq) -> list[int]:
+    """a1_j + a2_{r-j} - d for each j, after checking the (r, d) context."""
+    if a1.r != r or a2.r != r or a1.d != d or a2.d != d:
+        raise ValueError("vanishing sequences must match the (r, d) context")
+    return gaps(a1, a2, d)
+
+
 def realize_g0(r: int, d: int, a1: VanishingSeq, a2: VanishingSeq) -> G0Series | None:
     """Polynomial basis with exact vanishing a1_j at 0 and a2_{r-j} at infinity.
 
     Returns None when a1_j + a2_{r-j} > d for some j (no such series exists).
     """
-    if a1.r != r or a2.r != r or a1.d != d or a2.d != d:
-        raise ValueError("vanishing sequences must match the (r, d) context")
+    excess = _excess(r, d, a1, a2)
+    if max(excess) > 0:
+        return None
     rows = []
-    for j in range(r + 1):
-        gap = d - a1[j] - a2[r - j]
-        if gap < 0:
-            return None
+    for a, e in zip(a1.entries, excess):
         coeffs = [0] * (d + 1)
-        coeffs[a1[j]] = 1
-        if gap >= 1:
-            coeffs[a1[j] + gap] += 1
+        coeffs[a] = 1
+        if e < 0:
+            coeffs[a - e] += 1
         rows.append(tuple(coeffs))
     return G0Series(d, tuple(rows))
 
@@ -165,19 +170,11 @@ def realize_g1(r: int, d: int, a1: VanishingSeq, a2: VanishingSeq) -> LineBundle
     the special bundle O(a1_j P1 + a2_{r-j} P2); otherwise any generic bundle
     works.
     """
-    if a1.r != r or a2.r != r or a1.d != d or a2.d != d:
-        raise ValueError("vanishing sequences must match the (r, d) context")
-    equal_at = []
-    for j in range(r + 1):
-        total = a1[j] + a2[r - j]
-        if total > d:
-            return None
-        if total == d:
-            equal_at.append(j)
-    if len(equal_at) >= 2:
+    excess = _excess(r, d, a1, a2)
+    if max(excess) > 0 or excess.count(0) >= 2:
         return None
-    if equal_at:
-        return special_bundle(d, a1[equal_at[0]])
+    if 0 in excess:
+        return special_bundle(d, a1[excess.index(0)])
     return generic_bundle(d)
 
 
@@ -187,10 +184,7 @@ def richardson_dim(d: int, a1: VanishingSeq, a2: VanishingSeq) -> int | None:
     None when the locus is empty (some a1_j + a2_{r-j} > d).  Equals rho of
     the corresponding genus-0 problem whenever defined.
     """
-    if a1.r != a2.r or a1.d != d or a2.d != d:
-        raise ValueError("vanishing sequences must match the d context")
-    r = a1.r
-    terms = [d - a1[j] - a2[r - j] for j in range(r + 1)]
-    if any(t < 0 for t in terms):
+    excess = _excess(a1.r, d, a1, a2)
+    if max(excess) > 0:
         return None
-    return sum(terms)
+    return -sum(excess)

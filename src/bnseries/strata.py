@@ -14,15 +14,14 @@ nonemptiness oracle applied to each component.
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .core import BNProblem, RamSeq, all_ram_seqs, rho
+from .core import BNProblem, RamSeq, all_ram_seqs, gaps, rho
 
 
 def eh_compatible(alpha_y: RamSeq, alpha_z: RamSeq) -> bool:
     """Node compatibility: alpha_y[j] + alpha_z[r-j] >= d - r for all j."""
     if alpha_y.d != alpha_z.d or alpha_y.r != alpha_z.r:
         raise ValueError("node sequences must share the same (r, d) context")
-    r, d = alpha_y.r, alpha_y.d
-    return all(alpha_y[j] + alpha_z[r - j] >= d - r for j in range(r + 1))
+    return min(gaps(alpha_y, alpha_z, alpha_y.d - alpha_y.r)) >= 0
 
 
 def refined_complement(alpha_y: RamSeq) -> RamSeq:
@@ -71,8 +70,7 @@ def fiber_dim_bound(s: Stratum) -> int:
     dimension of the forgetful comparison map from the finer limit-series
     space down to component pairs.
     """
-    r, d = s.r, s.d
-    return sum(s.alpha_y[j] + s.alpha_z[r - j] - (d - r) for j in range(r + 1))
+    return sum(gaps(s.alpha_y, s.alpha_z, s.d - s.r))
 
 
 @dataclass(frozen=True)
@@ -93,11 +91,7 @@ class TwoComponentProblem:
     def __post_init__(self):
         if self.g_y < 0 or self.g_z < 0:
             raise ValueError("component genera must be nonnegative")
-        if not 0 <= self.r <= self.d:
-            raise ValueError(f"need 0 <= r <= d, got r={self.r}, d={self.d}")
-        for name, alpha in (("alpha1", self.alpha1), ("alpha2", self.alpha2)):
-            if alpha.d != self.d or alpha.r != self.r:
-                raise ValueError(f"{name} context does not match (r, d)")
+        glued_problem(self)
 
 
 def glued_problem(p: TwoComponentProblem) -> BNProblem:

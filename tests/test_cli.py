@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from bnseries.cli import iter_sweep, main, run
 
 
@@ -192,6 +194,34 @@ def test_enum_budget_env_var():
     body = json.loads(proc.stdout)
     assert body["status"] == "error"
     assert any("InfeasibleSize" in d for d in body["diagnostics"])
+
+
+def test_enum_budget_env_var_not_an_integer():
+    proc = invoke(
+        ["oracle-verify", "--genus", "0", "--r", "1", "--d", "5", "--a1", "0,1", "--a2", "0,1"],
+        env={"BN_ENUM_BUDGET": "abc"},
+    )
+    assert proc.returncode == 2
+    body = json.loads(proc.stdout)
+    assert body["status"] == "error"
+    assert any("BN_ENUM_BUDGET" in d for d in body["diagnostics"])
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"g": 2, "r": 1, "d": 3, "alpha1": [0.9, 1.2]},
+        {"g": 1.7, "r": 1, "d": 3},
+        {"g": True, "r": 1, "d": 3},
+        {"g": 2, "r": 1, "d": 3, "alpha1": [True, True]},
+    ],
+    ids=["float-alpha", "float-g", "bool-g", "bool-alpha"],
+)
+def test_non_integer_params_are_invalid(params):
+    response, code = run({"command": "rho", "params": params})
+    assert code == 1
+    assert response["status"] == "error"
+    assert response["payload"] == {}
 
 
 def test_main_returns_exit_code(capsys):

@@ -1,3 +1,5 @@
+import json
+from importlib import resources
 from itertools import product
 
 from bnseries.elliptic import (
@@ -6,7 +8,10 @@ from bnseries.elliptic import (
     ec_add,
     ec_mul,
     ec_neg,
+    find_general_model,
+    find_torsion_model,
     is_on_curve,
+    is_prime,
     point_order,
 )
 
@@ -56,3 +61,15 @@ def test_point_order_properties():
         order = point_order(P, A, pt)
         assert ec_mul(P, A, pt, order) is None
         assert group_size % order == 0
+
+
+def test_is_prime_below_60():
+    primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59}
+    assert {n for n in range(-3, 60) if is_prime(n)} == primes
+
+
+def test_model_search_reproduces_fixtures():
+    text = resources.files("bnseries").joinpath("fixtures/elliptic_models.json").read_text()
+    models = json.loads(text)["models"]
+    assert find_general_model() == models["general"]
+    assert find_torsion_model() == models["torsion2"]
