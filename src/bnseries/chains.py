@@ -14,6 +14,7 @@ the small family of single-raise variants, sorted, and keep the
 lexicographically smallest candidate that validates on both sides.
 """
 
+import json
 from dataclasses import dataclass
 
 from .core import BNProblem, RamSeq, nonempty_criterion, rho
@@ -192,19 +193,28 @@ def witness_to_dict(w: ChainWitness) -> dict:
     }
 
 
+def _witness_int(value, what: str) -> int:
+    """int(value), refusing the bool and float values int() would truncate."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(
+            f"malformed chain witness: {what} must be an integer, got {json.dumps(value)}"
+        )
+    return int(value)
+
+
 def witness_from_dict(data: dict) -> ChainWitness:
     """Parse a serialized witness; raises ValueError on malformed input."""
     try:
-        r, d = int(data["r"]), int(data["d"])
+        r, d = _witness_int(data["r"], "r"), _witness_int(data["d"], "d")
         components = tuple(
             ChainComponent(
-                int(c["genus"]),
-                RamSeq(tuple(c["left"]), d),
-                RamSeq(tuple(c["right"]), d),
-                int(c["rho"]),
+                _witness_int(c["genus"], "genus"),
+                RamSeq(tuple(_witness_int(a, "left") for a in c["left"]), d),
+                RamSeq(tuple(_witness_int(a, "right") for a in c["right"]), d),
+                _witness_int(c["rho"], "rho"),
             )
             for c in data["components"]
         )
-        return ChainWitness(r, d, components, int(data["total_rho"]))
+        return ChainWitness(r, d, components, _witness_int(data["total_rho"], "total_rho"))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed chain witness: {exc}") from exc

@@ -20,12 +20,12 @@ from typing import Iterator
 from .chains import build_chain, chain_violations, witness_from_dict, witness_to_dict
 from .core import BNProblem, VanishingSeq, all_ram_seqs, nonempty_criterion, problem, rho, zero_ram
 from .oracle import (
-    count_series,
     dim_or_nofit,
     ec_descriptor_scan,
     ec_order_diff,
     load_fixture,
     profile_complementary,
+    series_counts,
 )
 from .realize import classify_g1_vanishing, g0_vanishing_check, realize_g0, realize_g1, richardson_dim
 from .strata import (
@@ -225,7 +225,7 @@ def _cmd_oracle_verify(params: dict):
         a2 = _vanishing(params, "a2", r, d)
         expected = richardson_dim(d, a1, a2)
         profile = profile_complementary(d + 1)
-        counts = [[q, count_series(q, profile, r, a1.entries, a2.entries)] for q in (2, 3, 4)]
+        counts = [list(c) for c in series_counts((2, 3, 4), profile, r, a1.entries, a2.entries)]
         if expected is None:
             fitted, agree = None, all(n == 0 for _, n in counts)
         else:

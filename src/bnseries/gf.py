@@ -105,6 +105,30 @@ def rref_matrices(q: int, n: int, k: int) -> Iterator[tuple[tuple[int, ...], lis
             yield pivots, rows
 
 
+def echelon_insert(field: GF, basis: dict[int, list[int]], vec: list[int]) -> bool:
+    """Add vec to an echelon basis, in place; True when it was independent.
+
+    ``basis`` maps each pivot column to its row: the row's first nonzero
+    entry is a 1 in that column.  vec is reduced against the rows in column
+    order; a nonzero remainder joins the basis, scaled to a leading 1.
+    """
+    add, mul = field.add_table, field.mul_table
+    vec = vec[:]
+    for c, x in enumerate(vec):
+        if x == 0:
+            continue
+        row = basis.get(c)
+        if row is None:
+            scale = mul[field.inv_table[x]]
+            basis[c] = [scale[v] for v in vec]
+            return True
+        minus = mul[field.neg_table[x]]
+        for j in range(c, len(vec)):
+            if row[j]:
+                vec[j] = add[vec[j]][minus[row[j]]]
+    return False
+
+
 def lead_positions(field: GF, rows: list[list[int]], col_order: list[int]) -> list[int]:
     """Leading-column positions (indices into col_order) after elimination.
 

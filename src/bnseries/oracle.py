@@ -11,8 +11,11 @@ Two ingredients:
   vanishing orders, and both flags become spans of coordinate vectors.
 
 * Point counting.  Subspaces with prescribed vanishing against both flags
-  are enumerated exactly over F_q for q in {2, 3, 4}; the dimension of the
-  locus is read off from the exact polynomial growth of the counts in q.
+  are counted exactly over F_q for q in {2, 3, 4}, by plain linear algebra:
+  the canonical bases are enumerated without their first row, and the
+  choices of that row are counted per flag-2 lead from ranks of one
+  incremental elimination.  The dimension of the locus is read off from the
+  exact polynomial growth of the counts in q.
 
 The elliptic model supplies the genus-1 generality certificate: a concrete
 curve over a prime field with marked points whose difference has known group
@@ -24,11 +27,12 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 
 from .core import BNProblem, VanishingSeq, to_vanishing
 from .elliptic import discriminant, ec_add, ec_neg, is_on_curve, is_prime, point_order
-from .gf import gaussian_binomial, gf, lead_positions, rref_matrices
+from .gf import echelon_insert, gaussian_binomial, gf, rref_matrices
 from .realize import LineBundleDescriptor, generic_bundle, special_bundle
 
 DEFAULT_ENUM_BUDGET = 10**7
@@ -155,45 +159,103 @@ def _enum_budget(budget: int | None) -> int:
 _HIST_CACHE: dict = {}
 
 
+def _refuse_over_budget(q: int, n: int, k: int, budget: int) -> None:
+    """Raise InfeasibleSize when F_q^n has more k-subspaces than the budget."""
+    size = gaussian_binomial(n, k, q)
+    if size > budget:
+        raise InfeasibleSize(
+            f"enumeration of {size} subspaces exceeds the budget of {budget}"
+        )
+
+
 def _subspace_histogram(q: int, profile: FlagProfile, k: int, budget: int) -> dict:
     """Joint tally of vanishing-sequence pairs over all k-subspaces of F_q^n."""
     key = (q, profile.h, k)
     cached = _HIST_CACHE.get(key)
     if cached is not None:
         return cached
+    _refuse_over_budget(q, profile.n, k, budget)
+    hist = _HIST_CACHE[key] = _rank_count_histogram(q, profile, k)
+    return hist
+
+
+def _rank_count_histogram(q: int, profile: FlagProfile, k: int) -> dict:
+    """The histogram by rank counting.
+
+    Columns are taken in flag-1 order, so the pivots p0 < ... < p_{k-1} of a
+    subspace's reduced echelon basis give its flag-1 sequence.  Rows 1..k-1
+    span a (k-1)-subspace W of the columns after p0, and these are
+    enumerated.  Row 0 ranges over the affine space a + L (a = e_{p0}, L
+    spanned by its free columns) and is counted instead: with C_t spanned by
+    the columns at flag-2 positions >= t and U_t = W + C_t, the subspace has
+    a flag-2 lead at position >= t outside W's leads exactly when row 0 lies
+    in U_t.  That holds for q^dim(L & U_t) choices of row 0 when a is in
+    L + U_t, and for none otherwise.  One sweep t = n-1 .. 0 grows echelon
+    bases of U_t, L + U_t and L + U_t + a; the differences of the counts
+    tally row 0's lead, and W's own leads are the positions where U_t does
+    not grow.
+    """
     n = profile.n
-    size = gaussian_binomial(n, k, q)
-    if size > budget:
-        raise InfeasibleSize(
-            f"enumeration of {size} subspaces exceeds the budget of {budget}"
-        )
     orders = basis_orders(profile)
     by1 = sorted(range(n), key=lambda i: orders[i][0])
     o1_of_col = [orders[i][0] for i in by1]
     o2_of_col = [orders[i][1] for i in by1]
     cols_by_o2 = sorted(range(n), key=lambda pos: o2_of_col[pos])
+    o2_at = [o2_of_col[c] for c in cols_by_o2]
+    unit = [[int(j == c) for j in range(n)] for c in range(n)]
     field = gf(q)
     hist: dict = {}
-    for pivots, rows in rref_matrices(q, n, k):
-        b1 = tuple(o1_of_col[c] for c in pivots)
-        leads = lead_positions(field, rows, cols_by_o2)
-        b2 = tuple(o2_of_col[cols_by_o2[pos]] for pos in leads)
-        pair = (b1, b2)
-        hist[pair] = hist.get(pair, 0) + 1
-    _HIST_CACHE[key] = hist
+    for p0 in range(n - k + 1):
+        before = [0] * (p0 + 1)
+        for w_pivots, w_rows in rref_matrices(q, n - 1 - p0, k - 1):
+            pivots = (p0,) + tuple(p0 + 1 + c for c in w_pivots)
+            b1 = tuple(o1_of_col[c] for c in pivots)
+            u = {c: before + row for c, row in zip(pivots[1:], w_rows)}
+            free = [c for c in range(p0 + 1, n) if c not in pivots]
+            lu = dict(u)
+            for c in free:
+                echelon_insert(field, lu, unit[c])
+            lua = dict(lu)
+            echelon_insert(field, lua, unit[p0])
+            everything = q ** len(free)  # the number of choices of row 0
+            w_leads = []
+            row0_leads = []  # (t, number of row-0 choices whose lead is t)
+            above = 0  # row-0 choices with lead > t
+            for t in range(n - 1, -1, -1):
+                e = unit[cols_by_o2[t]]
+                if not echelon_insert(field, u, e):
+                    w_leads.append(t)
+                echelon_insert(field, lu, e)
+                echelon_insert(field, lua, e)
+                at_least = q ** (len(free) + len(u) - len(lu)) if len(lua) == len(lu) else 0
+                if at_least != above:
+                    row0_leads.append((t, at_least - above))
+                    above = at_least
+                if above == everything and len(w_leads) == k - 1:
+                    break  # every lead is placed
+            for t, mult in row0_leads:
+                b2 = tuple(o2_at[pos] for pos in sorted(w_leads + [t]))
+                pair = (b1, b2)
+                hist[pair] = hist.get(pair, 0) + mult
     return hist
+
+
+def _check_field(q) -> None:
+    if q not in (2, 3, 4):
+        raise ValueError("supported field sizes are 2, 3 and 4")
 
 
 def count_series(q, profile: FlagProfile, r, a1, a2, budget: int | None = None) -> int:
     """Number of (r+1)-subspaces of F_q^n with vanishing >= a1, a2 at the flags.
 
     A subspace qualifies when its vanishing sequence against flag i dominates
-    a_i componentwise.  Counting is by exhaustive enumeration of canonical
-    bases; a hard budget (default 10^7 subspaces, env BN_ENUM_BUDGET) guards
-    the loop and raises InfeasibleSize beyond it.
+    a_i componentwise.  Counting is by rank computations over F_q (see
+    _rank_count_histogram): canonical bases are enumerated without their
+    first row, whose choices are counted.  A hard budget (default 10^7
+    subspaces, env BN_ENUM_BUDGET) caps gaussian_binomial(n, r + 1, q) and
+    raises InfeasibleSize beyond it.
     """
-    if q not in (2, 3, 4):
-        raise ValueError("supported field sizes are 2, 3 and 4")
+    _check_field(q)
     n = profile.n
     k = r + 1
     want1 = VanishingSeq(a1, n).entries
@@ -211,6 +273,25 @@ def count_series(q, profile: FlagProfile, r, a1, a2, budget: int | None = None) 
         ):
             total += mult
     return total
+
+
+def series_counts(qs, profile: FlagProfile, r, a1, a2, budget: int | None = None) -> list:
+    """[(q, count_series(q, ...)) for q in qs], refused before any q is counted.
+
+    Every q whose histogram is not cached is checked against the budget
+    first, so an over-budget q costs no counting at the smaller ones; the
+    refusal names the first such q, as counting in order would.  The bounds
+    a1, a2 are validated by count_series.
+    """
+    for q in qs:
+        _check_field(q)
+    k = r + 1
+    if k <= profile.n:
+        limit = _enum_budget(budget)
+        for q in qs:
+            if (q, profile.h, k) not in _HIST_CACHE:
+                _refuse_over_budget(q, profile.n, k, limit)
+    return [(q, count_series(q, profile, r, a1, a2, budget)) for q in qs]
 
 
 def _poly_eval(coeffs, x):
@@ -350,7 +431,7 @@ def ec_descriptor_scan(
     report = {"order_diff": order, "descriptors": []}
     for bundle in all_descriptors(p.d):
         profile = profile_g1(bundle, diff_order=order)
-        counts = [(q, count_series(q, profile, p.r, a1, a2, budget=budget)) for q in qs]
+        counts = series_counts(qs, profile, p.r, a1, a2, budget=budget)
         report["descriptors"].append(
             {
                 "bundle": "generic" if bundle.a is None else f"special({bundle.a})",
@@ -373,8 +454,12 @@ def ec_g1_nonempty(m: EllipticModel, p: BNProblem, budget: int | None = None) ->
     return ec_descriptor_scan(m, p, budget=budget)["nonempty"]
 
 
+@lru_cache(maxsize=None)
 def load_fixture(name: str = "general") -> EllipticModel:
-    """Load a frozen curve model from the versioned fixture file."""
+    """Load a frozen curve model from the versioned fixture file.
+
+    Models are cached by name; an unknown name raises KeyError on every call.
+    """
     text = resources.files(__package__).joinpath("fixtures/elliptic_models.json").read_text()
     data = json.loads(text)
     entry = data["models"][name]

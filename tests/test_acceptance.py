@@ -31,7 +31,14 @@ from bnseries import (
     to_vanishing,
     verify_chain,
 )
-from bnseries.oracle import ec_descriptor_scan, ec_order_diff, profile_complementary, profile_g1
+from bnseries.oracle import (
+    dim_or_nofit,
+    ec_descriptor_scan,
+    ec_order_diff,
+    profile_complementary,
+    profile_g1,
+    series_counts,
+)
 from bnseries.realize import special_bundle
 from bnseries.strata import glued_problem
 
@@ -123,6 +130,25 @@ def test_criterion_4_genus0_oracle_equivalence():
                             assert len({n for _, n in counts}) == 1, (d, r, a1, a2)
 
 
+def test_criterion_4b_genus0_rank2_oracle():
+    with report("4b", "genus-0 oracle at r=2 (dim fit for d<=4, emptiness for d=5)"):
+        for d in range(2, 6):
+            prof = profile_complementary(d + 1)
+            for a1 in all_vanishing(2, d):
+                for a2 in all_vanishing(2, d):
+                    expected = richardson_dim(d, a1, a2)
+                    counts = series_counts((2, 3, 4), prof, 2, a1.entries, a2.entries)
+                    assert (expected is None) == all(n == 0 for _, n in counts), (d, a1, a2)
+                    if expected is None:
+                        continue
+                    fitted = dim_or_nofit(counts)
+                    if d <= 4:
+                        assert fitted == expected, (d, a1, a2, counts)
+                    else:
+                        # three field sizes cannot always pin degrees up to 9
+                        assert fitted in (expected, "nofit"), (d, a1, a2, counts)
+
+
 def test_criterion_5_genus1_oracle_equivalence():
     with report(5, "genus-1 oracle equivalence and torsion degeneration (d<=4, r<=1)"):
         general = load_fixture("general")
@@ -147,6 +173,15 @@ def test_criterion_5_genus1_oracle_equivalence():
             "special(0)",
             "special(2)",
         }
+
+
+def test_criterion_5b_genus1_oracle_degree5():
+    with report("5b", "genus-1 oracle equivalence at d=5 (r<=1)"):
+        general = load_fixture("general")
+        assert ec_order_diff(general) > 5
+        for r in range(0, 2):
+            for p in all_problems(1, r, 5):
+                assert ec_g1_nonempty(general, p) == nonempty_criterion(p), p
 
 
 def test_criterion_6_realization_validity():

@@ -187,6 +187,27 @@ def test_witness_serialization_roundtrip():
         witness_from_dict({"r": 1, "d": 4})
 
 
+@pytest.mark.parametrize("field", ["r", "d", "total_rho"])
+@pytest.mark.parametrize("bad", [1.5, 2.0, True])
+def test_witness_from_dict_rejects_bool_and_float(field, bad):
+    data = witness_to_dict(build_chain(problem(2, 1, 3)))
+    data[field] = bad
+    with pytest.raises(ValueError, match="malformed chain witness"):
+        witness_from_dict(data)
+
+
+@pytest.mark.parametrize("key", ["genus", "rho", "left", "right"])
+def test_witness_from_dict_rejects_float_in_components(key):
+    data = witness_to_dict(build_chain(problem(2, 1, 3)))
+    component = data["components"][-1]
+    if key in ("left", "right"):
+        component[key] = [float(a) for a in component[key]]
+    else:
+        component[key] = float(component[key])
+    with pytest.raises(ValueError, match=f"malformed chain witness: {key} must be an integer"):
+        witness_from_dict(data)
+
+
 def test_make_component_computes_rho():
     c = make_component(1, RamSeq((0, 0), 3), RamSeq((1, 1), 3))
     assert c.component_rho == 1

@@ -207,6 +207,45 @@ def test_enum_budget_env_var_not_an_integer():
     assert any("BN_ENUM_BUDGET" in d for d in body["diagnostics"])
 
 
+def test_oracle_verify_refuses_before_counting(monkeypatch):
+    from bnseries import oracle
+    from bnseries.gf import gaussian_binomial
+
+    monkeypatch.setattr(oracle, "_HIST_CACHE", {})
+    budget = gaussian_binomial(5, 2, 3) + 1  # q = 4 is the first field over budget
+    monkeypatch.setenv("BN_ENUM_BUDGET", str(budget))
+    params = {"genus": 0, "r": 1, "d": 4, "a1": "0,1", "a2": "0,1"}
+    response, code = run({"command": "oracle-verify", "params": params})
+    assert code == 2
+    size = gaussian_binomial(5, 2, 4)
+    assert any(
+        f"enumeration of {size} subspaces exceeds the budget of {budget}" in d
+        for d in response["diagnostics"]
+    )
+    assert oracle._HIST_CACHE == {}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda w: w["components"][0].update(rho=1.5),
+        lambda w: w["components"][0].update(rho=True),
+        lambda w: w["components"][0]["left"].__setitem__(0, 0.0),
+        lambda w: w.update(total_rho=float(w["total_rho"])),
+    ],
+    ids=["float-rho", "bool-rho", "float-left", "float-total-rho"],
+)
+def test_witness_non_integers_are_malformed(change):
+    params = {"g": 2, "r": 1, "d": 3}
+    witness = run({"command": "chain", "params": params})[0]["payload"]
+    change(witness)
+    response, code = run(
+        {"command": "chain", "params": {**params, "verify": True, "witness": witness}}
+    )
+    assert code == 1
+    assert any("malformed chain witness" in d for d in response["diagnostics"])
+
+
 @pytest.mark.parametrize(
     "params",
     [

@@ -18,8 +18,9 @@ from bnseries import (
     profile_complementary,
     profile_g1,
 )
-from bnseries.gf import gf
-from bnseries.oracle import all_descriptors, basis_orders, ec_descriptor_scan
+from bnseries import oracle
+from bnseries.gf import gaussian_binomial, gf, lead_positions, rref_matrices
+from bnseries.oracle import all_descriptors, basis_orders, ec_descriptor_scan, series_counts
 from bnseries.realize import generic_bundle, special_bundle
 
 
@@ -138,6 +139,70 @@ def test_count_series_matches_direct_line_count():
                     ), (q, prof.h, a1, a2)
 
 
+def _enumerated_histogram(q, profile, k):
+    """Reference tally: every canonical basis, eliminated in flag-2 order."""
+    n = profile.n
+    orders = basis_orders(profile)
+    by1 = sorted(range(n), key=lambda i: orders[i][0])
+    o1_of_col = [orders[i][0] for i in by1]
+    o2_of_col = [orders[i][1] for i in by1]
+    cols_by_o2 = sorted(range(n), key=lambda pos: o2_of_col[pos])
+    hist = {}
+    for pivots, rows in rref_matrices(q, n, k):
+        b1 = tuple(o1_of_col[c] for c in pivots)
+        leads = lead_positions(gf(q), rows, cols_by_o2)
+        pair = (b1, tuple(o2_of_col[cols_by_o2[pos]] for pos in leads))
+        hist[pair] = hist.get(pair, 0) + 1
+    return hist
+
+
+def _reference_profiles():
+    profiles = [profile_complementary(n) for n in range(1, 6)]
+    for d in range(1, 5):
+        for bundle in all_descriptors(d):
+            for t in (None, 2, 6):
+                profiles.append(profile_g1(bundle, diff_order=t))
+    return profiles
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_histogram_matches_enumeration(q):
+    for prof in _reference_profiles():
+        n = prof.n
+        o1_sorted = sorted(o1 for o1, _ in basis_orders(prof))
+        for k in range(1, n + 1):
+            hist = oracle._rank_count_histogram(q, prof, k)
+            assert hist == _enumerated_histogram(q, prof, k), (q, prof.h, k)
+            assert sum(hist.values()) == gaussian_binomial(n, k, q)
+            # flag-1 marginal: the Schubert cell of pivots p has q^free points
+            marginal = {}
+            for (b1, _), mult in hist.items():
+                marginal[b1] = marginal.get(b1, 0) + mult
+            for b1, mult in marginal.items():
+                pivots = [o1_sorted.index(o) for o in b1]
+                free = sum(n - 1 - p - (k - 1 - i) for i, p in enumerate(pivots))
+                assert mult == q**free, (q, prof.h, k, b1)
+
+
+def test_budget_refuses_before_counting_any_field(monkeypatch):
+    monkeypatch.setattr(oracle, "_HIST_CACHE", {})
+    size = gaussian_binomial(5, 2, 4)
+    budget = gaussian_binomial(5, 2, 3) + 1  # q = 2 and 3 fit, q = 4 does not
+    assert budget < size
+    message = f"enumeration of {size} subspaces exceeds the budget of {budget}"
+    with pytest.raises(InfeasibleSize, match=message):
+        series_counts((2, 3, 4), profile_complementary(5), 1, (0, 1), (0, 1), budget=budget)
+    with pytest.raises(InfeasibleSize, match=message):
+        ec_descriptor_scan(load_fixture("general"), problem(1, 1, 5), budget=budget)
+    assert oracle._HIST_CACHE == {}
+
+
+def test_series_counts_match_count_series():
+    prof = profile_complementary(4)
+    counts = series_counts((2, 3, 4), prof, 1, (0, 2), (1, 2))
+    assert counts == [(q, count_series(q, prof, 1, (0, 2), (1, 2))) for q in (2, 3, 4)]
+
+
 def test_dim_fit_examples():
     assert dim_fit([(2, 3), (3, 4), (4, 5)]) == 1
     assert dim_fit([(2, 1), (3, 1), (4, 1)]) == 0
@@ -192,6 +257,13 @@ def test_fixtures_are_consistent():
     assert general.p >= 50 and torsion.p >= 50
     assert ec_order_diff(general) == general.order_diff == 6
     assert ec_order_diff(torsion) == torsion.order_diff == 2
+
+
+def test_load_fixture_is_cached_by_name():
+    assert load_fixture("general") is load_fixture("general")
+    for _ in range(2):
+        with pytest.raises(KeyError):
+            load_fixture("no-such-model")
 
 
 def test_ec_order_diff_identical_points():
