@@ -14,6 +14,7 @@ request document via --json.  All output is byte-deterministic.
 import argparse
 import json
 import sys
+from math import comb
 from pathlib import Path
 from typing import Iterator
 
@@ -25,16 +26,11 @@ from .oracle import (
     ec_order_diff,
     load_fixture,
     profile_complementary,
+    refuse_over_budget,
     series_counts,
 )
 from .realize import classify_g1_vanishing, g0_vanishing_check, realize_g0, realize_g1, richardson_dim
-from .strata import (
-    TwoComponentProblem,
-    component_problems,
-    enumerate_refined_strata,
-    fiber_dim_bound,
-    stratum_expected_dim,
-)
+from .strata import TwoComponentProblem, component_facts, enumerate_refined_strata, fiber_dim_bound
 
 
 class InvalidRequest(ValueError):
@@ -64,13 +60,9 @@ def _parse_seq(value, what: str) -> tuple[int, ...]:
 def _get_int(params: dict, key: str, minimum: int | None = None) -> int:
     if key not in params or params[key] is None:
         raise InvalidRequest(f"missing required parameter '{key}'")
-    raw = params[key]
-    try:
-        if type(raw) in _NOT_INT:
-            raise TypeError(type(raw).__name__)
-        value = int(raw)
-    except (TypeError, ValueError) as exc:
-        raise InvalidRequest(f"parameter '{key}' must be an integer") from exc
+    value = params[key]
+    if type(value) is not int:  # bool, float and integer strings too; flags arrive as int
+        raise InvalidRequest(f"parameter '{key}' must be an integer")
     if minimum is not None and value < minimum:
         raise InvalidRequest(f"parameter '{key}' must be >= {minimum}")
     return value
@@ -132,6 +124,7 @@ def _cmd_strata(params: dict):
         gz = _get_int(params, "gz", 0)
         glued = _build_problem({**params, "g": gy + gz})
         two = TwoComponentProblem(gy, gz, r, d, glued.alpha1, glued.alpha2)
+    refuse_over_budget(comb(d + 1, r + 1), "strata")
     strata = []
     for s in enumerate_refined_strata(r, d):
         entry = {
@@ -141,10 +134,7 @@ def _cmd_strata(params: dict):
             "fiber_bound": fiber_dim_bound(s),
         }
         if two is not None:
-            p_y, p_z = component_problems(two, s)
-            entry["expected_dim"] = stratum_expected_dim(two, s)
-            entry["y_nonempty"] = nonempty_criterion(p_y)
-            entry["z_nonempty"] = nonempty_criterion(p_z)
+            entry["expected_dim"], entry["y_nonempty"], entry["z_nonempty"] = component_facts(two, s)
         strata.append(entry)
     payload = {"r": r, "d": d, "count": len(strata), "strata": strata}
     if two is not None:

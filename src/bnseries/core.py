@@ -19,7 +19,10 @@ Conventions used throughout the package:
 
 * ``gaps(x, y, bound) = [x_j + y_{r-j} - bound]`` is the single home of that
   two-point pairing: the criterion, the node condition of ``strata`` and the
-  genus-0/1 base cases of ``realize`` all read their answers off it.
+  genus-0/1 base cases of ``realize`` all read their answers off it.  It
+  works on plain entry tuples, and so do ``criterion_excess`` and
+  ``rho_from_totals``, which ``criterion_sum`` and ``rho`` delegate to, so a
+  scan over many sequences need not build a ``BNProblem`` for each.
 
 All arithmetic is exact; every function in this module is pure and safe to
 call concurrently.
@@ -30,7 +33,7 @@ from itertools import combinations_with_replacement
 from typing import Iterator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class _Seq:
     """Validated integer sequence with its (r, d) context; r is len(entries) - 1.
 
@@ -42,9 +45,12 @@ class _Seq:
     entries: tuple[int, ...]
     d: int
 
-    def __post_init__(self):
-        entries = tuple(map(int, self.entries))
-        d = int(self.d)
+    # written out rather than generated: the generated one would set both
+    # fields, call __post_init__ and have it set them again, and strata scans
+    # build two sequences per stratum
+    def __init__(self, entries, d):
+        entries = tuple(map(int, entries))
+        d = int(d)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "d", d)
         if len(entries) == 0:
@@ -149,22 +155,31 @@ def problem(g, r, d, alpha1=None, alpha2=None) -> BNProblem:
     return BNProblem(g, r, d, a1, a2)
 
 
+def rho_from_totals(g: int, r: int, d: int, total1: int, total2: int) -> int:
+    """rho of a (g, r, d) problem whose two sequences sum to total1 and total2."""
+    return (r + 1) * (d - r) - r * g - total1 - total2
+
+
 def rho(p: BNProblem) -> int:
     """Adjusted Brill-Noether number; may be negative."""
-    return (
-        (p.r + 1) * (p.d - p.r)
-        - p.r * p.g
-        - p.alpha1.total()
-        - p.alpha2.total()
-    )
+    return rho_from_totals(p.g, p.r, p.d, p.alpha1.total(), p.alpha2.total())
 
 
-def gaps(x: _Seq, y: _Seq, bound: int) -> list[int]:
-    """The two-point pairing [x_j + y_{r-j} - bound for j = 0..r]; x and y share r."""
+def gaps(x: tuple[int, ...], y: tuple[int, ...], bound: int) -> list[int]:
+    """The two-point pairing [x_j + y_{r-j} - bound for j = 0..r] on entry tuples of one length."""
     out = []  # a plain loop is cheaper than a comprehension on these short sequences
-    for a, b in zip(x.entries, y.entries[::-1]):
+    for a, b in zip(x, y[::-1]):
         out.append(a + b - bound)
     return out
+
+
+def criterion_excess(g: int, r: int, d: int, x: tuple[int, ...], y: tuple[int, ...]) -> int:
+    """criterion_sum of the problem (g, r, d, x, y), read off its entry tuples."""
+    total = 0
+    for s in gaps(x, y, d - r - g):
+        if s > 0:
+            total += s
+    return total
 
 
 def criterion_sum(p: BNProblem) -> int:
@@ -173,11 +188,7 @@ def criterion_sum(p: BNProblem) -> int:
     The summand is positive exactly on the index set of the nonemptiness
     inequality, so the criterion is ``criterion_sum(p) <= g``.
     """
-    total = 0
-    for s in gaps(p.alpha1, p.alpha2, p.d - p.r - p.g):
-        if s > 0:
-            total += s
-    return total
+    return criterion_excess(p.g, p.r, p.d, p.alpha1.entries, p.alpha2.entries)
 
 
 def nonempty_criterion(p: BNProblem) -> bool:

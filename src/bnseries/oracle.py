@@ -159,13 +159,14 @@ def _enum_budget(budget: int | None) -> int:
 _HIST_CACHE: dict = {}
 
 
-def _refuse_over_budget(q: int, n: int, k: int, budget: int) -> None:
-    """Raise InfeasibleSize when F_q^n has more k-subspaces than the budget."""
-    size = gaussian_binomial(n, k, q)
-    if size > budget:
-        raise InfeasibleSize(
-            f"enumeration of {size} subspaces exceeds the budget of {budget}"
-        )
+def refuse_over_budget(size: int, unit: str, budget: int | None = None) -> None:
+    """Raise InfeasibleSize when enumerating ``size`` ``unit`` exceeds the budget.
+
+    ``budget`` None means BN_ENUM_BUDGET, or DEFAULT_ENUM_BUDGET when unset.
+    """
+    limit = _enum_budget(budget)
+    if size > limit:
+        raise InfeasibleSize(f"enumeration of {size} {unit} exceeds the budget of {limit}")
 
 
 def _subspace_histogram(q: int, profile: FlagProfile, k: int, budget: int) -> dict:
@@ -174,7 +175,7 @@ def _subspace_histogram(q: int, profile: FlagProfile, k: int, budget: int) -> di
     cached = _HIST_CACHE.get(key)
     if cached is not None:
         return cached
-    _refuse_over_budget(q, profile.n, k, budget)
+    refuse_over_budget(gaussian_binomial(profile.n, k, q), "subspaces", budget)
     hist = _HIST_CACHE[key] = _rank_count_histogram(q, profile, k)
     return hist
 
@@ -290,7 +291,7 @@ def series_counts(qs, profile: FlagProfile, r, a1, a2, budget: int | None = None
         limit = _enum_budget(budget)
         for q in qs:
             if (q, profile.h, k) not in _HIST_CACHE:
-                _refuse_over_budget(q, profile.n, k, limit)
+                refuse_over_budget(gaussian_binomial(profile.n, k, q), "subspaces", limit)
     return [(q, count_series(q, profile, r, a1, a2, budget)) for q in qs]
 
 

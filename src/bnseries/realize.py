@@ -76,7 +76,7 @@ def _excess(r: int, d: int, a1: VanishingSeq, a2: VanishingSeq) -> list[int]:
     """a1_j + a2_{r-j} - d for each j, after checking the (r, d) context."""
     if a1.r != r or a2.r != r or a1.d != d or a2.d != d:
         raise ValueError("vanishing sequences must match the (r, d) context")
-    return gaps(a1, a2, d)
+    return gaps(a1.entries, a2.entries, d)
 
 
 def realize_g0(r: int, d: int, a1: VanishingSeq, a2: VanishingSeq) -> G0Series | None:

@@ -9,25 +9,36 @@ and refined when equality holds for every j.  Refined node sequences come in
 complementary pairs ``alpha_z[j] = d - r - alpha_y[r - j]``, and nonemptiness
 of the whole limit-series space reduces to a scan over refined strata with a
 nonemptiness oracle applied to each component.
+
+A ``Stratum`` computes its node gaps once, when it is built: the
+compatibility check, ``refined`` and ``fiber_dim_bound`` all read that one
+pass.  ``component_facts`` reads a stratum's expected dimension and the
+criterion on both components off the entry tuples, so a scan builds two
+validated sequences and one ``Stratum`` per stratum and no ``BNProblem``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .core import BNProblem, RamSeq, all_ram_seqs, gaps, rho
+from .core import BNProblem, RamSeq, all_ram_seqs, criterion_excess, gaps, rho_from_totals
+
+
+def _node_gaps(alpha_y: RamSeq, alpha_z: RamSeq) -> list[int]:
+    """alpha_y[j] + alpha_z[r-j] - (d - r) for each j, after checking the shared context."""
+    if alpha_y.d != alpha_z.d or alpha_y.r != alpha_z.r:
+        raise ValueError("node sequences must share the same (r, d) context")
+    return gaps(alpha_y.entries, alpha_z.entries, alpha_y.d - alpha_y.r)
 
 
 def eh_compatible(alpha_y: RamSeq, alpha_z: RamSeq) -> bool:
     """Node compatibility: alpha_y[j] + alpha_z[r-j] >= d - r for all j."""
-    if alpha_y.d != alpha_z.d or alpha_y.r != alpha_z.r:
-        raise ValueError("node sequences must share the same (r, d) context")
-    return min(gaps(alpha_y, alpha_z, alpha_y.d - alpha_y.r)) >= 0
+    return min(_node_gaps(alpha_y, alpha_z)) >= 0
 
 
 def refined_complement(alpha_y: RamSeq) -> RamSeq:
     """The unique node sequence achieving equality: d - r - alpha_y[r - j]."""
-    r, d = alpha_y.r, alpha_y.d
-    return RamSeq(tuple(d - r - alpha_y[r - j] for j in range(r + 1)), d)
+    bound = alpha_y.d - alpha_y.r
+    return RamSeq(tuple([bound - a for a in reversed(alpha_y.entries)]), alpha_y.d)
 
 
 @dataclass(frozen=True)
@@ -36,13 +47,17 @@ class Stratum:
 
     alpha_y: RamSeq
     alpha_z: RamSeq
+    # sum of the node gaps, all of them nonnegative once the pair is accepted
+    _excess: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not eh_compatible(self.alpha_y, self.alpha_z):
+        node_gaps = _node_gaps(self.alpha_y, self.alpha_z)
+        if min(node_gaps) < 0:
             raise ValueError(
                 f"incompatible node pair {self.alpha_y.entries} / "
                 f"{self.alpha_z.entries} for (r={self.alpha_y.r}, d={self.alpha_y.d})"
             )
+        object.__setattr__(self, "_excess", sum(node_gaps))
 
     @property
     def r(self) -> int:
@@ -54,7 +69,8 @@ class Stratum:
 
     @property
     def refined(self) -> bool:
-        return self.alpha_z == refined_complement(self.alpha_y)
+        """alpha_z == refined_complement(alpha_y): no node gap is positive."""
+        return self._excess == 0
 
 
 def enumerate_refined_strata(r: int, d: int) -> Iterator[Stratum]:
@@ -70,7 +86,7 @@ def fiber_dim_bound(s: Stratum) -> int:
     dimension of the forgetful comparison map from the finer limit-series
     space down to component pairs.
     """
-    return sum(gaps(s.alpha_y, s.alpha_z, s.d - s.r))
+    return s._excess
 
 
 @dataclass(frozen=True)
@@ -115,8 +131,23 @@ def stratum_expected_dim(p: TwoComponentProblem, s: Stratum) -> int:
     Satisfies stratum_expected_dim + fiber_dim_bound = rho of the glued
     problem, for refined and non-refined strata alike.
     """
-    p_y, p_z = component_problems(p, s)
-    return rho(p_y) + rho(p_z)
+    r, d = p.r, p.d
+    return rho_from_totals(p.g_y, r, d, p.alpha1.total(), s.alpha_y.total()) + rho_from_totals(
+        p.g_z, r, d, s.alpha_z.total(), p.alpha2.total()
+    )
+
+
+def component_facts(p: TwoComponentProblem, s: Stratum) -> tuple[int, bool, bool]:
+    """stratum_expected_dim and nonempty_criterion of each of the component_problems.
+
+    The answers are read off the entry tuples; no component problem is built.
+    """
+    r, d, g_y, g_z = p.r, p.d, p.g_y, p.g_z
+    return (
+        stratum_expected_dim(p, s),
+        criterion_excess(g_y, r, d, p.alpha1.entries, s.alpha_y.entries) <= g_y,
+        criterion_excess(g_z, r, d, s.alpha_z.entries, p.alpha2.entries) <= g_z,
+    )
 
 
 def eh_nonempty_two_component(

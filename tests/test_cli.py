@@ -253,8 +253,9 @@ def test_witness_non_integers_are_malformed(change):
         {"g": 1.7, "r": 1, "d": 3},
         {"g": True, "r": 1, "d": 3},
         {"g": 2, "r": 1, "d": 3, "alpha1": [True, True]},
+        {"g": "3", "r": 1, "d": 3},
     ],
-    ids=["float-alpha", "float-g", "bool-g", "bool-alpha"],
+    ids=["float-alpha", "float-g", "bool-g", "bool-alpha", "string-g"],
 )
 def test_non_integer_params_are_invalid(params):
     response, code = run({"command": "rho", "params": params})
@@ -267,3 +268,35 @@ def test_main_returns_exit_code(capsys):
     assert main(["check", "--g", "4", "--r", "1", "--d", "3"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["payload"]["nonempty"]
+
+
+def _no_enumeration(r, d):
+    raise AssertionError("strata enumerated past the budget check")
+
+
+def test_strata_over_budget_is_refused_before_enumerating(monkeypatch):
+    from bnseries import cli
+
+    monkeypatch.setenv("BN_ENUM_BUDGET", "10")
+    # C(5, 2) = 10 strata fit the budget exactly
+    response, code = run({"command": "strata", "params": {"r": 1, "d": 4}})
+    assert code == 0 and response["payload"]["count"] == 10
+    monkeypatch.setattr(cli, "enumerate_refined_strata", _no_enumeration)
+    for params in ({"r": 1, "d": 5}, {"r": 1, "d": 5, "gy": 1, "gz": 0}):
+        response, code = run({"command": "strata", "params": params})
+        assert code == 2
+        assert response["diagnostics"] == [
+            "InfeasibleSize: enumeration of 15 strata exceeds the budget of 10"
+        ]
+
+
+def test_strata_default_budget_refuses_r10_d40_at_once(monkeypatch):
+    from bnseries import cli
+
+    monkeypatch.delenv("BN_ENUM_BUDGET", raising=False)
+    monkeypatch.setattr(cli, "enumerate_refined_strata", _no_enumeration)
+    response, code = run({"command": "strata", "params": {"r": 10, "d": 40}})
+    assert code == 2
+    assert response["diagnostics"] == [
+        "InfeasibleSize: enumeration of 3159461968 strata exceeds the budget of 10000000"
+    ]

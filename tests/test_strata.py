@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 from itertools import product
 
 import pytest
 
 from bnseries import (
+    BNProblem,
     RamSeq,
     Stratum,
     TwoComponentProblem,
@@ -18,6 +20,8 @@ from bnseries import (
     stratum_expected_dim,
     zero_ram,
 )
+from bnseries import core
+from bnseries.cli import run
 from bnseries.strata import component_problems, glued_problem
 
 
@@ -157,3 +161,85 @@ def test_injected_oracle_is_used():
     p = TwoComponentProblem(1, 2, 1, 3, zero_ram(1, 3), zero_ram(1, 3))
     assert not eh_nonempty_two_component(p, lambda _: False)
     assert eh_nonempty_two_component(p, lambda _: True)
+
+
+def test_refined_is_exact_complementarity_on_every_compatible_pair():
+    for d in range(6):
+        for r in range(d + 1):
+            seqs = list(all_ram_seqs(r, d))
+            for ay, az in product(seqs, repeat=2):
+                if eh_compatible(ay, az):
+                    s = Stratum(ay, az)
+                    assert s.refined == (s.alpha_z == refined_complement(s.alpha_y))
+
+
+def _strata_requests():
+    """Every r <= 3, d <= 8: plain, and with (gy, gz) in {0,1,2}^2 and the
+    first, middle and last sequences as alpha1 and alpha2."""
+    for d in range(9):
+        for r in range(min(3, d) + 1):
+            yield {"r": r, "d": d}
+            seqs = list(all_ram_seqs(r, d))
+            picks = sorted({seqs[0], seqs[len(seqs) // 2], seqs[-1]}, key=lambda a: a.entries)
+            for gy, gz in product(range(3), repeat=2):
+                for a1, a2 in product(picks, repeat=2):
+                    yield {"r": r, "d": d, "gy": gy, "gz": gz, "alpha1": list(a1), "alpha2": list(a2)}
+
+
+def test_strata_payload_matches_the_object_api():
+    for params in _strata_requests():
+        response, code = run({"command": "strata", "params": params})
+        assert code == 0, params
+        payload = response["payload"]
+        r, d = params["r"], params["d"]
+        two = None
+        if "gy" in params:
+            a1, a2 = RamSeq(tuple(params["alpha1"]), d), RamSeq(tuple(params["alpha2"]), d)
+            two = TwoComponentProblem(params["gy"], params["gz"], r, d, a1, a2)
+            assert payload["glued_rho"] == rho(glued_problem(two))
+        assert [e["alpha_y"] for e in payload["strata"]] == [list(a) for a in all_ram_seqs(r, d)]
+        assert payload["count"] == len(payload["strata"]) == math.comb(d + 1, r + 1)
+        both = []
+        for entry in payload["strata"]:
+            alpha_y = RamSeq(tuple(entry["alpha_y"]), d)
+            s = Stratum(alpha_y, refined_complement(alpha_y))
+            assert entry["alpha_z"] == list(s.alpha_z.entries)
+            assert entry["refined"] == (s.alpha_z == refined_complement(s.alpha_y))
+            assert entry["fiber_bound"] == fiber_dim_bound(s)
+            if two is None:
+                assert len(entry) == 4
+                continue
+            p_y, p_z = component_problems(two, s)
+            assert entry["expected_dim"] == stratum_expected_dim(two, s) == rho(p_y) + rho(p_z)
+            assert entry["y_nonempty"] == nonempty_criterion(p_y)
+            assert entry["z_nonempty"] == nonempty_criterion(p_z)
+            both.append(entry["y_nonempty"] and entry["z_nonempty"])
+        if two is not None:
+            assert payload["nonempty"] == any(both) == nonempty_criterion(glued_problem(two))
+
+
+def test_strata_scan_work_counts(monkeypatch):
+    # Counts, not timings: each stratum validates its two node sequences and
+    # builds no BNProblem, so the rebuilds the scan once made cannot return.
+    built = Counter()
+
+    def count(cls, method):
+        original = getattr(cls, method)
+
+        def counted(self, *args, **kwargs):
+            built[cls.__name__] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, method, counted)
+
+    count(core._Seq, "__init__")
+    count(BNProblem, "__post_init__")
+    params = {"r": 4, "d": 10, "gy": 1, "gz": 2, "alpha1": [0, 0, 1, 1, 2], "alpha2": [0, 1, 1, 2, 2]}
+    response, code = run({"command": "strata", "params": params})
+    assert code == 0
+    strata = response["payload"]["count"]
+    assert strata == math.comb(11, 5)
+    # the request's alpha1 and alpha2 are the only other sequences
+    assert built["_Seq"] <= 2 * strata + 2
+    # the glued problem, once parsed and once checked by TwoComponentProblem
+    assert built["BNProblem"] <= 2
