@@ -11,14 +11,22 @@ criterion.  Component rho values then add up to rho of the original problem.
 closed-form candidate (lower the reversed alpha1 complement by one, raising a
 single slot in the equality case) is not always nondecreasing, so we search
 the small family of single-raise variants, sorted, and keep the
-lexicographically smallest candidate that validates on both sides.
+lexicographically smallest candidate that validates on both sides.  The
+candidates are entry tuples, tested with ``core.criterion_excess``; only the
+winning node pair is built as validated sequences.
+
+``build_chain`` can take ``tails``, a map from already built chains' problems
+to their components.  A genus-g chain is one genus-1 component followed by
+the chain of the residual genus-(g-1) problem, so a caller that visits genus
+g - 1 before genus g (the CLI's ``sweep``) hands over that layer's chains and
+each new chain costs one split.
 """
 
 import json
 from dataclasses import dataclass
 
-from .core import BNProblem, RamSeq, nonempty_criterion, rho
-from .strata import refined_complement
+from .core import BNProblem, RamSeq, criterion_excess, nonempty_criterion, rho, rho_from_totals
+from .strata import complement_entries, refined_complement
 
 
 class ConstructionFailed(RuntimeError):
@@ -47,12 +55,9 @@ class ChainComponent:
             raise ValueError("left/right sequences must share the (r, d) context")
 
 
-def _component(p: BNProblem) -> ChainComponent:
-    return ChainComponent(p.g, p.alpha1, p.alpha2, rho(p))
-
-
 def make_component(genus: int, left_ram: RamSeq, right_ram: RamSeq) -> ChainComponent:
-    return _component(BNProblem(genus, left_ram.r, left_ram.d, left_ram, right_ram))
+    rho_value = rho_from_totals(genus, left_ram.r, left_ram.d, left_ram.total(), right_ram.total())
+    return ChainComponent(genus, left_ram, right_ram, rho_value)
 
 
 @dataclass(frozen=True)
@@ -70,12 +75,13 @@ class ChainWitness:
                 raise ValueError("component context does not match the chain")
 
 
-def _split_candidates(p: BNProblem) -> list[RamSeq]:
-    """Candidate node sequences alpha_y, lexicographically ordered.
+def _split_candidates(p: BNProblem) -> list[tuple[int, ...]]:
+    """Candidate node entry tuples alpha_y, lexicographically ordered.
 
     Family: per-slot base value d - r - 1 - alpha1[r - k] clamped to >= 0,
     plus the variants with exactly one slot raised to d - r - alpha1[r - k],
-    each sorted into nondecreasing order.
+    each sorted into nondecreasing order.  Every entry lies in [0, d - r], so
+    each candidate is a valid ramification sequence.
     """
     r, d = p.r, p.d
     base = [max(0, d - r - 1 - p.alpha1[r - k]) for k in range(r + 1)]
@@ -84,7 +90,7 @@ def _split_candidates(p: BNProblem) -> list[RamSeq]:
         raised = list(base)
         raised[k] = d - r - p.alpha1[r - k]
         family.add(tuple(sorted(raised)))
-    return [RamSeq(entries, d) for entries in sorted(family)]
+    return sorted(family)
 
 
 def split_once(p: BNProblem) -> tuple[RamSeq, RamSeq]:
@@ -93,40 +99,65 @@ def split_once(p: BNProblem) -> tuple[RamSeq, RamSeq]:
     Returns node sequences (alpha_y, alpha_z) with alpha_z the refined
     complement of alpha_y, such that the genus-1 problem (alpha1, alpha_y)
     and the residual genus-(g-1) problem (alpha_z, alpha2) both satisfy the
-    nonemptiness criterion.
+    nonemptiness criterion.  Candidates are tested on their entry tuples;
+    only the winner becomes a pair of RamSeq.
     """
     if p.g < 2:
         raise ValueError("split_once needs genus >= 2")
     if not nonempty_criterion(p):
         raise ValueError("split_once needs a problem satisfying the criterion")
+    g, r, d = p.g, p.r, p.d
+    alpha1, alpha2 = p.alpha1.entries, p.alpha2.entries
     for alpha_y in _split_candidates(p):
-        if not nonempty_criterion(BNProblem(1, p.r, p.d, p.alpha1, alpha_y)):
+        if criterion_excess(1, r, d, alpha1, alpha_y) > 1:
             continue
-        alpha_z = refined_complement(alpha_y)
-        if nonempty_criterion(BNProblem(p.g - 1, p.r, p.d, alpha_z, p.alpha2)):
-            return alpha_y, alpha_z
+        alpha_z = complement_entries(alpha_y, d - r)
+        if criterion_excess(g - 1, r, d, alpha_z, alpha2) <= g - 1:
+            return RamSeq(alpha_y, d), RamSeq(alpha_z, d)
     raise ConstructionFailed(
         f"no valid split for g={p.g}, r={p.r}, d={p.d}, "
         f"alpha1={p.alpha1.entries}, alpha2={p.alpha2.entries}"
     )
 
 
-def build_chain(p: BNProblem) -> ChainWitness | None:
+def tail_key(g: int, d: int, alpha1: tuple[int, ...], alpha2: tuple[int, ...]) -> tuple:
+    """The key in build_chain's tails of problem (g, r, d, alpha1, alpha2).
+
+    alpha1 and alpha2 are entry tuples.  d is part of the key because one
+    entry tuple is a valid sequence under several d; r is not, because it is
+    the tuples' length less one.
+    """
+    return (g, d, alpha1, alpha2)
+
+
+def build_chain(p: BNProblem, tails: dict | None = None) -> ChainWitness | None:
     """Construct a verified witness chain, or None when the criterion fails.
 
     Genus 0 and 1 problems become a single component; larger genus peels off
-    genus-1 components by induction via split_once.
+    genus-1 components by induction via split_once.  ``tails`` maps the
+    ``tail_key`` of problems whose chains are already built to those chains'
+    components: once a split leaves a residual problem found there, its
+    components end the chain.  When those chains were built by this
+    function, the result is the same with or without ``tails``: the rest of
+    the induction would rebuild them.
     """
     if not nonempty_criterion(p):
         return None
+    r, d = p.r, p.d
     components = []
     current = p
     while current.g >= 2:
         alpha_y, alpha_z = split_once(current)
         components.append(make_component(1, current.alpha1, alpha_y))
-        current = BNProblem(current.g - 1, p.r, p.d, alpha_z, current.alpha2)
-    components.append(_component(current))
-    return ChainWitness(p.r, p.d, tuple(components), rho(p))
+        key = tail_key(current.g - 1, d, alpha_z.entries, current.alpha2.entries)
+        tail = tails.get(key) if tails else None
+        if tail is not None:
+            components.extend(tail)
+            break
+        current = BNProblem(current.g - 1, r, d, alpha_z, current.alpha2)
+    else:
+        components.append(make_component(current.g, current.alpha1, current.alpha2))
+    return ChainWitness(r, d, tuple(components), rho(p))
 
 
 def chain_violations(w: ChainWitness, p: BNProblem) -> list[str]:

@@ -18,8 +18,24 @@ from math import comb
 from pathlib import Path
 from typing import Iterator
 
-from .chains import build_chain, chain_violations, witness_from_dict, witness_to_dict
-from .core import BNProblem, VanishingSeq, all_ram_seqs, nonempty_criterion, problem, rho, zero_ram
+from .chains import (
+    build_chain,
+    chain_violations,
+    tail_key,
+    witness_from_dict,
+    witness_to_dict,
+)
+from .core import (
+    BNProblem,
+    VanishingSeq,
+    all_ram_seqs,
+    criterion_excess,
+    nonempty_criterion,
+    problem,
+    rho,
+    rho_from_totals,
+    zero_ram,
+)
 from .oracle import (
     dim_or_nofit,
     ec_descriptor_scan,
@@ -37,8 +53,9 @@ class InvalidRequest(ValueError):
     """Malformed request: bad JSON, unknown command, or invalid parameters."""
 
 
-# JSON values that int() would accept but that are not integers
-_NOT_INT = frozenset((bool, float))
+# JSON values that int() would accept but that are not integers; a string
+# entry is accepted only through the comma form, whose tokens are base-10
+_NOT_INT = frozenset((bool, float, str))
 
 
 def _parse_seq(value, what: str) -> tuple[int, ...]:
@@ -104,12 +121,17 @@ def _cmd_rho(params: dict):
     return "ok", {"rho": rho(p)}
 
 
-def _check(p: BNProblem):
-    return "ok", {"nonempty": nonempty_criterion(p), "rho": rho(p)}
+def _check(nonempty: bool, rho_value: int):
+    return "ok", {"nonempty": nonempty, "rho": rho_value}
+
+
+def _empty(rho_value: int):
+    return "empty", {"nonempty": False, "rho": rho_value}
 
 
 def _cmd_check(params: dict):
-    return _check(_build_problem(params))
+    p = _build_problem(params)
+    return _check(nonempty_criterion(p), rho(p))
 
 
 def _cmd_strata(params: dict):
@@ -157,13 +179,9 @@ def _cmd_chain(params: dict):
             raise InvalidRequest(str(exc)) from exc
         violations = chain_violations(w, p)
         return "ok", {"valid": not violations, "violations": violations}
-    return _chain(p)
-
-
-def _chain(p: BNProblem):
     w = build_chain(p)
     if w is None:
-        return "empty", {"nonempty": False, "rho": rho(p)}
+        return _empty(rho(p))
     return "ok", witness_to_dict(w)
 
 
@@ -261,10 +279,31 @@ def _cmd_oracle_verify(params: dict):
     raise InvalidRequest("oracle-verify supports genus 0 or 1")
 
 
+def _sweep_points(g_max: int, r_max: int, d_max: int, alphas: str) -> int:
+    """Grid size: the sum over (g, r, d) of C(d+1, r+1)^2 for 'all', of 1 for 'zero'.
+
+    Summed over d = r..d_max, the 'all' terms of one r with k = r + 1 come to
+    sum_j C(k, j)^2 C(d_max + 2 + j, 2k + 1), so the count takes O(r_max^2)
+    steps whatever d_max is.
+    """
+    per_genus = 0
+    for r in range(min(r_max, d_max) + 1):
+        if alphas == "zero":
+            per_genus += d_max - r + 1
+        else:
+            k = r + 1
+            per_genus += sum(comb(k, j) ** 2 * comb(d_max + 2 + j, 2 * k + 1) for j in range(k + 1))
+    return (g_max + 1) * per_genus
+
+
 def iter_sweep(params: dict) -> Iterator[dict]:
     """One result object per grid point, in grid order.
 
-    Points are built from the enumerated sequences, not parsed as requests.
+    A grid over the enumeration budget is refused before the first point.
+    Each (r, d) context's sequences are enumerated and validated once, and a
+    point is decided on their entry tuples and totals; only a nonempty
+    ``chain`` point builds its BNProblem.  Its chain is built on the chains
+    of the previous genus layer, which is all that is kept of them.
     """
     g_max = _get_int(params, "g_max", 0)
     r_max = _get_int(params, "r_max", 0)
@@ -275,16 +314,30 @@ def iter_sweep(params: dict) -> Iterator[dict]:
     alphas = params.get("alphas", "zero")
     if alphas not in ("zero", "all"):
         raise InvalidRequest("alphas must be 'zero' or 'all'")
-    solve = _check if command == "check" else _chain
+    refuse_over_budget(_sweep_points(g_max, r_max, d_max, alphas), "sweep points")
+    tails = {}
     for g in range(g_max + 1):
+        layer = {}  # build_chain's tails for genus g + 1
         for d in range(d_max + 1):
             for r in range(min(r_max, d) + 1):
                 seqs = [zero_ram(r, d)] if alphas == "zero" else list(all_ram_seqs(r, d))
-                for a1 in seqs:
-                    for a2 in seqs:
-                        point = {"g": g, "r": r, "d": d, "alpha1": list(a1), "alpha2": list(a2)}
-                        status, payload = solve(BNProblem(g, r, d, a1, a2))
+                totals = [a.total() for a in seqs]
+                for a1, t1 in zip(seqs, totals):
+                    e1 = a1.entries
+                    for a2, t2 in zip(seqs, totals):
+                        e2 = a2.entries
+                        point = {"g": g, "r": r, "d": d, "alpha1": list(e1), "alpha2": list(e2)}
+                        nonempty = criterion_excess(g, r, d, e1, e2) <= g
+                        if command == "check":
+                            status, payload = _check(nonempty, rho_from_totals(g, r, d, t1, t2))
+                        elif not nonempty:
+                            status, payload = _empty(rho_from_totals(g, r, d, t1, t2))
+                        else:
+                            w = build_chain(BNProblem(g, r, d, a1, a2), tails)
+                            layer[tail_key(g, d, e1, e2)] = w.components
+                            status, payload = "ok", witness_to_dict(w)
                         yield {"params": point, "status": status, "payload": payload}
+        tails = layer
 
 
 def _cmd_sweep(params: dict):

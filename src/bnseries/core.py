@@ -130,18 +130,22 @@ class BNProblem:
     alpha2: RamSeq
 
     def __post_init__(self):
-        if self.g < 0:
-            raise ValueError(f"genus must be nonnegative, got {self.g}")
-        if not 0 <= self.r <= self.d:
-            raise ValueError(f"need 0 <= r <= d, got r={self.r}, d={self.d}")
-        for name, alpha in (("alpha1", self.alpha1), ("alpha2", self.alpha2)):
-            if not isinstance(alpha, RamSeq):
-                raise ValueError(f"{name} must be a RamSeq")
-            if alpha.d != self.d or alpha.r != self.r:
-                raise ValueError(
-                    f"{name} has context (r={alpha.r}, d={alpha.d}), "
-                    f"expected (r={self.r}, d={self.d})"
-                )
+        validate_problem(self.g, self.r, self.d, self.alpha1, self.alpha2)
+
+
+def validate_problem(g: int, r: int, d: int, alpha1: RamSeq, alpha2: RamSeq) -> None:
+    """Raise ValueError unless (g, r, d, alpha1, alpha2) is a valid BNProblem."""
+    if g < 0:
+        raise ValueError(f"genus must be nonnegative, got {g}")
+    if not 0 <= r <= d:
+        raise ValueError(f"need 0 <= r <= d, got r={r}, d={d}")
+    for name, alpha in (("alpha1", alpha1), ("alpha2", alpha2)):
+        if not isinstance(alpha, RamSeq):
+            raise ValueError(f"{name} must be a RamSeq")
+        if alpha.d != d or alpha.r != r:
+            raise ValueError(
+                f"{name} has context (r={alpha.r}, d={alpha.d}), expected (r={r}, d={d})"
+            )
 
 
 def zero_ram(r: int, d: int) -> RamSeq:

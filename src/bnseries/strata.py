@@ -20,7 +20,15 @@ validated sequences and one ``Stratum`` per stratum and no ``BNProblem``.
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .core import BNProblem, RamSeq, all_ram_seqs, criterion_excess, gaps, rho_from_totals
+from .core import (
+    BNProblem,
+    RamSeq,
+    all_ram_seqs,
+    criterion_excess,
+    gaps,
+    rho_from_totals,
+    validate_problem,
+)
 
 
 def _node_gaps(alpha_y: RamSeq, alpha_z: RamSeq) -> list[int]:
@@ -35,10 +43,14 @@ def eh_compatible(alpha_y: RamSeq, alpha_z: RamSeq) -> bool:
     return min(_node_gaps(alpha_y, alpha_z)) >= 0
 
 
+def complement_entries(entries: tuple[int, ...], bound: int) -> tuple[int, ...]:
+    """refined_complement on entry tuples, with bound = d - r."""
+    return tuple([bound - a for a in reversed(entries)])
+
+
 def refined_complement(alpha_y: RamSeq) -> RamSeq:
     """The unique node sequence achieving equality: d - r - alpha_y[r - j]."""
-    bound = alpha_y.d - alpha_y.r
-    return RamSeq(tuple([bound - a for a in reversed(alpha_y.entries)]), alpha_y.d)
+    return RamSeq(complement_entries(alpha_y.entries, alpha_y.d - alpha_y.r), alpha_y.d)
 
 
 @dataclass(frozen=True)
@@ -107,7 +119,8 @@ class TwoComponentProblem:
     def __post_init__(self):
         if self.g_y < 0 or self.g_z < 0:
             raise ValueError("component genera must be nonnegative")
-        glued_problem(self)
+        # the checks of glued_problem, without building it
+        validate_problem(self.g_y + self.g_z, self.r, self.d, self.alpha1, self.alpha2)
 
 
 def glued_problem(p: TwoComponentProblem) -> BNProblem:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
@@ -254,8 +255,9 @@ def test_witness_non_integers_are_malformed(change):
         {"g": True, "r": 1, "d": 3},
         {"g": 2, "r": 1, "d": 3, "alpha1": [True, True]},
         {"g": "3", "r": 1, "d": 3},
+        {"g": 2, "r": 1, "d": 3, "alpha1": ["0", "1"]},
     ],
-    ids=["float-alpha", "float-g", "bool-g", "bool-alpha", "string-g"],
+    ids=["float-alpha", "float-g", "bool-g", "bool-alpha", "string-g", "string-alpha"],
 )
 def test_non_integer_params_are_invalid(params):
     response, code = run({"command": "rho", "params": params})
@@ -300,3 +302,45 @@ def test_strata_default_budget_refuses_r10_d40_at_once(monkeypatch):
     assert response["diagnostics"] == [
         "InfeasibleSize: enumeration of 3159461968 strata exceeds the budget of 10000000"
     ]
+
+
+def _no_sweep_enumeration(r, d):
+    raise AssertionError("sweep enumerated past the budget check")
+
+
+def test_sweep_over_budget_is_refused_before_enumerating(monkeypatch, capsys):
+    from bnseries import cli
+
+    monkeypatch.setenv("BN_ENUM_BUDGET", "10")
+    # genera 0 and 1 at (r, d) = (0, 0) and (0, 1): 1 + 4 points each, 10 in all
+    fits = {"g_max": 1, "r_max": 0, "d_max": 1, "command": "chain", "alphas": "all"}
+    response, code = run({"command": "sweep", "params": fits})
+    assert code == 0 and len(response["payload"]["points"]) == 10
+    monkeypatch.setattr(cli, "all_ram_seqs", _no_sweep_enumeration)
+    monkeypatch.setattr(cli, "zero_ram", _no_sweep_enumeration)
+    refusal = ["InfeasibleSize: enumeration of 11 sweep points exceeds the budget of 10"]
+    # 11 genera of one point each, and 11 contexts (0, d) of one zero point each
+    for params in (
+        {"g_max": 10, "r_max": 0, "d_max": 0, "command": "chain", "alphas": "all"},
+        {"g_max": 0, "r_max": 0, "d_max": 10, "command": "chain", "alphas": "zero"},
+    ):
+        response, code = run({"command": "sweep", "params": params})
+        assert (response["diagnostics"], code) == (refusal, 2)
+        argv = ["sweep"] + [f"--{k.replace('_', '-')}={v}" for k, v in params.items()]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().out)["diagnostics"] == refusal
+
+
+@pytest.mark.parametrize("alphas", ["zero", "all"])
+def test_sweep_points_closed_form(alphas):
+    from bnseries.cli import _sweep_points
+
+    for g_max in range(3):
+        for r_max in range(6):
+            for d_max in range(8):
+                want = (g_max + 1) * sum(
+                    1 if alphas == "zero" else comb(d + 1, r + 1) ** 2
+                    for d in range(d_max + 1)
+                    for r in range(min(r_max, d) + 1)
+                )
+                assert _sweep_points(g_max, r_max, d_max, alphas) == want

@@ -241,5 +241,5 @@ def test_strata_scan_work_counts(monkeypatch):
     assert strata == math.comb(11, 5)
     # the request's alpha1 and alpha2 are the only other sequences
     assert built["_Seq"] <= 2 * strata + 2
-    # the glued problem, once parsed and once checked by TwoComponentProblem
-    assert built["BNProblem"] <= 2
+    # the glued problem, parsed once; TwoComponentProblem checks it without building it
+    assert built["BNProblem"] == 1
