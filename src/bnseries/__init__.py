@@ -22,7 +22,6 @@ from .core import (
     VanishingSeq,
     all_problems,
     all_ram_seqs,
-    all_vanishing_seqs,
     criterion_sum,
     from_vanishing,
     nonempty_criterion,

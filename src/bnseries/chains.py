@@ -225,12 +225,13 @@ def witness_to_dict(w: ChainWitness) -> dict:
 
 
 def _witness_int(value, what: str) -> int:
-    """int(value), refusing the bool and float values int() would truncate."""
-    if isinstance(value, (bool, float)):
+    """value when it is a JSON integer; any other value is a malformed witness."""
+    number = int(value)  # first, so a non-numeric string keeps int()'s own message
+    if type(value) is not int:  # bool, float and integer strings
         raise ValueError(
             f"malformed chain witness: {what} must be an integer, got {json.dumps(value)}"
         )
-    return int(value)
+    return number
 
 
 def witness_from_dict(data: dict) -> ChainWitness:

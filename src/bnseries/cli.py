@@ -39,7 +39,6 @@ from .core import (
 from .oracle import (
     dim_or_nofit,
     ec_descriptor_scan,
-    ec_order_diff,
     load_fixture,
     profile_complementary,
     refuse_over_budget,
@@ -47,6 +46,7 @@ from .oracle import (
 )
 from .realize import classify_g1_vanishing, g0_vanishing_check, realize_g0, realize_g1, richardson_dim
 from .strata import TwoComponentProblem, component_facts, enumerate_refined_strata, fiber_dim_bound
+from .strata import refuse_strata_over_budget
 
 
 class InvalidRequest(ValueError):
@@ -86,31 +86,17 @@ def _get_int(params: dict, key: str, minimum: int | None = None) -> int:
 
 
 def _build_problem(params: dict) -> BNProblem:
-    g = _get_int(params, "g", 0)
-    r = _get_int(params, "r", 0)
-    d = _get_int(params, "d", 0)
-    alpha1 = params.get("alpha1")
-    alpha2 = params.get("alpha2")
-    try:
-        return problem(
-            g,
-            r,
-            d,
-            None if alpha1 is None else _parse_seq(alpha1, "alpha1"),
-            None if alpha2 is None else _parse_seq(alpha2, "alpha2"),
-        )
-    except ValueError as exc:
-        raise InvalidRequest(str(exc)) from exc
+    g, r, d = (_get_int(params, key, 0) for key in ("g", "r", "d"))
+    alpha1, alpha2 = (
+        None if params.get(key) is None else _parse_seq(params[key], key) for key in ("alpha1", "alpha2")
+    )
+    return problem(g, r, d, alpha1, alpha2)
 
 
 def _vanishing(params: dict, key: str, r: int, d: int) -> VanishingSeq:
     if key not in params or params[key] is None:
         raise InvalidRequest(f"missing required parameter '{key}'")
-    entries = _parse_seq(params[key], key)
-    try:
-        seq = VanishingSeq(entries, d)
-    except ValueError as exc:
-        raise InvalidRequest(str(exc)) from exc
+    seq = VanishingSeq(_parse_seq(params[key], key), d)
     if seq.r != r:
         raise InvalidRequest(f"'{key}' must have length r+1 = {r + 1}")
     return seq
@@ -146,7 +132,7 @@ def _cmd_strata(params: dict):
         gz = _get_int(params, "gz", 0)
         glued = _build_problem({**params, "g": gy + gz})
         two = TwoComponentProblem(gy, gz, r, d, glued.alpha1, glued.alpha2)
-    refuse_over_budget(comb(d + 1, r + 1), "strata")
+    refuse_strata_over_budget(r, d)
     strata = []
     for s in enumerate_refined_strata(r, d):
         entry = {
@@ -167,17 +153,16 @@ def _cmd_strata(params: dict):
 
 def _cmd_chain(params: dict):
     p = _build_problem(params)
-    if params.get("verify"):
+    verify = params.get("verify")
+    if verify is not None and type(verify) is not bool:
+        raise InvalidRequest("parameter 'verify' must be true, false or null")
+    if verify:
         witness_data = params.get("witness")
         if witness_data is None:
             raise InvalidRequest("verify mode needs a 'witness' object")
         if isinstance(witness_data, dict) and "payload" in witness_data:
             witness_data = witness_data["payload"]
-        try:
-            w = witness_from_dict(witness_data)
-        except ValueError as exc:
-            raise InvalidRequest(str(exc)) from exc
-        violations = chain_violations(w, p)
+        violations = chain_violations(witness_from_dict(witness_data), p)
         return "ok", {"valid": not violations, "violations": violations}
     w = build_chain(p)
     if w is None:
@@ -233,7 +218,7 @@ def _cmd_oracle_verify(params: dict):
         a2 = _vanishing(params, "a2", r, d)
         expected = richardson_dim(d, a1, a2)
         profile = profile_complementary(d + 1)
-        counts = [list(c) for c in series_counts((2, 3, 4), profile, r, a1.entries, a2.entries)]
+        counts = [list(c) for c in series_counts(profile, r, a1.entries, a2.entries)]
         if expected is None:
             fitted, agree = None, all(n == 0 for _, n in counts)
         else:
@@ -253,13 +238,12 @@ def _cmd_oracle_verify(params: dict):
             model = load_fixture(str(fixture))
         except KeyError as exc:
             raise InvalidRequest(f"unknown fixture {fixture!r}") from exc
-        order = ec_order_diff(model)
         scan = ec_descriptor_scan(model, p)
-        generality_ok = order > p.d
+        generality_ok = scan["order_diff"] > p.d
         payload = {
             "genus": 1,
             "fixture": fixture,
-            "order_diff": order,
+            "order_diff": scan["order_diff"],
             "generality_ok": generality_ok,
             "criterion": nonempty_criterion(p),
             "oracle_nonempty": scan["nonempty"],
@@ -282,17 +266,17 @@ def _cmd_oracle_verify(params: dict):
 def _sweep_points(g_max: int, r_max: int, d_max: int, alphas: str) -> int:
     """Grid size: the sum over (g, r, d) of C(d+1, r+1)^2 for 'all', of 1 for 'zero'.
 
-    Summed over d = r..d_max, the 'all' terms of one r with k = r + 1 come to
-    sum_j C(k, j)^2 C(d_max + 2 + j, 2k + 1), so the count takes O(r_max^2)
-    steps whatever d_max is.
+    With m = min(r_max, d_max), a genus has (m + 1)(d_max + 1) - m(m + 1)/2
+    'zero' points.  Summed over d = r..d_max, the 'all' terms of one r with
+    k = r + 1 come to sum_j C(k, j)^2 C(d_max + 2 + j, 2k + 1), so the 'all'
+    count takes O(m^2) steps whatever d_max is.
     """
+    m = min(r_max, d_max)
+    if alphas == "zero":
+        return (g_max + 1) * ((m + 1) * (d_max + 1) - m * (m + 1) // 2)
     per_genus = 0
-    for r in range(min(r_max, d_max) + 1):
-        if alphas == "zero":
-            per_genus += d_max - r + 1
-        else:
-            k = r + 1
-            per_genus += sum(comb(k, j) ** 2 * comb(d_max + 2 + j, 2 * k + 1) for j in range(k + 1))
+    for k in range(1, m + 2):
+        per_genus += sum(comb(k, j) ** 2 * comb(d_max + 2 + j, 2 * k + 1) for j in range(k + 1))
     return (g_max + 1) * per_genus
 
 
@@ -300,6 +284,8 @@ def iter_sweep(params: dict) -> Iterator[dict]:
     """One result object per grid point, in grid order.
 
     A grid over the enumeration budget is refused before the first point.
+    An 'all' grid is first held against its largest (r, d_max) slice, one
+    binomial, where the exact count takes O(min(r_max, d_max)^2) of them.
     Each (r, d) context's sequences are enumerated and validated once, and a
     point is decided on their entry tuples and totals; only a nonempty
     ``chain`` point builds its BNProblem.  Its chain is built on the chains
@@ -314,6 +300,9 @@ def iter_sweep(params: dict) -> Iterator[dict]:
     alphas = params.get("alphas", "zero")
     if alphas not in ("zero", "all"):
         raise InvalidRequest("alphas must be 'zero' or 'all'")
+    if alphas == "all" and d_max > 0:  # at d_max = 0 that slice is the grid, counted exactly below
+        k = min(r_max + 1, (d_max + 1) // 2)  # C(d_max + 1, k) is largest at k = (d_max + 1) // 2
+        refuse_over_budget((g_max + 1) * comb(d_max + 1, k) ** 2, "sweep points", at_least=True)
     refuse_over_budget(_sweep_points(g_max, r_max, d_max, alphas), "sweep points")
     tails = {}
     for g in range(g_max + 1):
@@ -347,12 +336,9 @@ def _cmd_sweep(params: dict):
 # argparse keyword arguments of every flag; each command lists the flags it takes
 _FLAGS = {
     **dict.fromkeys(("g", "r", "d", "gy", "gz", "genus", "g_max", "r_max", "d_max"), {"type": int}),
-    **dict.fromkeys(("alpha1", "alpha2", "a1", "a2"), {"type": str}),
+    **dict.fromkeys(("alpha1", "alpha2", "a1", "a2", "fixture", "command", "alphas"), {"type": str}),
     "witness_file": {"type": str, "help": "witness JSON path, or '-' for stdin"},
     "verify": {"action": "store_true"},
-    "fixture": {"type": str, "default": "general"},
-    "command": {"type": str, "default": "check"},
-    "alphas": {"type": str, "default": "zero"},
 }
 _PROBLEM = ("g", "r", "d", "alpha1", "alpha2")
 _COMMANDS = {
@@ -373,17 +359,23 @@ def _error(exc: Exception) -> tuple[dict, int]:
     return {"status": "error", "payload": {}, "diagnostics": [diagnostic]}, 1 if invalid else 2
 
 
+def _checked(request) -> tuple[str, dict]:
+    """The command and params of a request document, both checked."""
+    if not isinstance(request, dict):
+        raise InvalidRequest("request must be a JSON object")
+    command = request.get("command")
+    if command not in _COMMANDS:
+        raise InvalidRequest(f"unknown command {command!r}")
+    params = request.get("params", {})
+    if not isinstance(params, dict):
+        raise InvalidRequest("params must be a JSON object")
+    return command, params
+
+
 def run(request: dict) -> tuple[dict, int]:
     """Execute a request document; returns (response, exit_code)."""
     try:
-        if not isinstance(request, dict):
-            raise InvalidRequest("request must be a JSON object")
-        command = request.get("command")
-        if command not in _COMMANDS:
-            raise InvalidRequest(f"unknown command {command!r}")
-        params = request.get("params", {})
-        if not isinstance(params, dict):
-            raise InvalidRequest("params must be a JSON object")
+        command, params = _checked(request)
         status, payload = _COMMANDS[command][0](params)
         return {"status": status, "payload": payload, "diagnostics": []}, 0
     except Exception as exc:  # every failure, internal ones included, stays machine readable
@@ -446,8 +438,9 @@ def _request_from_args(args) -> dict:
 def main(argv=None) -> int:
     try:
         request = _request_from_args(_build_parser().parse_args(argv))
-        if isinstance(request, dict) and request.get("command") == "sweep":
-            for line in iter_sweep(request.get("params", {})):
+        command, params = _checked(request)
+        if command == "sweep":  # streamed, one line per grid point
+            for line in iter_sweep(params):
                 print(_dump(line))
             return 0
         response, code = run(request)

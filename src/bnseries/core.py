@@ -209,12 +209,6 @@ def all_ram_seqs(r: int, d: int) -> Iterator[RamSeq]:
         yield RamSeq(entries, d)
 
 
-def all_vanishing_seqs(r: int, d: int) -> Iterator[VanishingSeq]:
-    """All valid vanishing sequences for (r, d), in lexicographic order."""
-    for alpha in all_ram_seqs(r, d):
-        yield to_vanishing(alpha)
-
-
 def all_problems(g: int, r: int, d: int) -> Iterator[BNProblem]:
     """All two-point problems for fixed (g, r, d), over every (alpha1, alpha2)."""
     seqs = list(all_ram_seqs(r, d))

@@ -10,12 +10,15 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator
 
+# the field sizes this module supports, and the ones the oracles count over
+FIELDS = (2, 3, 4)
+
 
 class GF:
-    """The field with q elements, q in {2, 3, 4}, as lookup tables."""
+    """The field with q elements, q in FIELDS, as lookup tables."""
 
     def __init__(self, q: int):
-        if q not in (2, 3, 4):
+        if q not in FIELDS:
             raise ValueError("supported field sizes are 2, 3 and 4")
         self.q = q
         if q == 4:

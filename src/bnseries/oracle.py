@@ -11,7 +11,7 @@ Two ingredients:
   vanishing orders, and both flags become spans of coordinate vectors.
 
 * Point counting.  Subspaces with prescribed vanishing against both flags
-  are counted exactly over F_q for q in {2, 3, 4}, by plain linear algebra:
+  are counted exactly over F_q for q in gf.FIELDS, by plain linear algebra:
   the canonical bases are enumerated without their first row, and the
   choices of that row are counted per flag-2 lead from ranks of one
   incremental elimination.  The dimension of the locus is read off from the
@@ -32,7 +32,7 @@ from importlib import resources
 
 from .core import BNProblem, VanishingSeq, to_vanishing
 from .elliptic import discriminant, ec_add, ec_neg, is_on_curve, is_prime, point_order
-from .gf import echelon_insert, gaussian_binomial, gf, rref_matrices
+from .gf import FIELDS, echelon_insert, gaussian_binomial, gf, rref_matrices
 from .realize import LineBundleDescriptor, generic_bundle, special_bundle
 
 DEFAULT_ENUM_BUDGET = 10**7
@@ -146,9 +146,7 @@ def basis_orders(profile: FlagProfile) -> tuple[tuple[int, int], ...]:
     return tuple(orders)
 
 
-def _enum_budget(budget: int | None) -> int:
-    if budget is not None:
-        return int(budget)
+def _enum_budget() -> int:
     raw = os.environ.get("BN_ENUM_BUDGET", DEFAULT_ENUM_BUDGET)
     try:
         return int(raw)
@@ -159,24 +157,39 @@ def _enum_budget(budget: int | None) -> int:
 _HIST_CACHE: dict = {}
 
 
-def refuse_over_budget(size: int, unit: str, budget: int | None = None) -> None:
+def refuse_over_budget(size: int, unit: str, at_least: bool = False) -> None:
     """Raise InfeasibleSize when enumerating ``size`` ``unit`` exceeds the budget.
 
-    ``budget`` None means BN_ENUM_BUDGET, or DEFAULT_ENUM_BUDGET when unset.
+    The budget is BN_ENUM_BUDGET, or DEFAULT_ENUM_BUDGET when unset; ``at_least``
+    marks ``size`` as a lower bound.  A size with more decimal digits than
+    int-to-str conversion allows is named by the power of two below it.
     """
-    limit = _enum_budget(budget)
+    limit = _enum_budget()
     if size > limit:
-        raise InfeasibleSize(f"enumeration of {size} {unit} exceeds the budget of {limit}")
+        try:
+            text = str(size)
+        except ValueError:  # the process-wide digit limit is left as it is
+            text, at_least = f"2^{size.bit_length() - 1}", True
+        bound = "at least " if at_least else ""
+        raise InfeasibleSize(f"enumeration of {bound}{text} {unit} exceeds the budget of {limit}")
 
 
-def _subspace_histogram(q: int, profile: FlagProfile, k: int, budget: int) -> dict:
-    """Joint tally of vanishing-sequence pairs over all k-subspaces of F_q^n."""
+def _histogram_key(q: int, profile: FlagProfile, k: int) -> tuple:
+    """The cache key of a histogram; an uncached one over the budget is refused."""
     key = (q, profile.h, k)
-    cached = _HIST_CACHE.get(key)
-    if cached is not None:
-        return cached
-    refuse_over_budget(gaussian_binomial(profile.n, k, q), "subspaces", budget)
-    hist = _HIST_CACHE[key] = _rank_count_histogram(q, profile, k)
+    if key in _HIST_CACHE:
+        _enum_budget()  # still read, so a malformed BN_ENUM_BUDGET fails every count alike
+    else:
+        refuse_over_budget(gaussian_binomial(profile.n, k, q), "subspaces")
+    return key
+
+
+def _subspace_histogram(q: int, profile: FlagProfile, k: int) -> dict:
+    """Joint tally of vanishing-sequence pairs over all k-subspaces of F_q^n."""
+    key = _histogram_key(q, profile, k)
+    hist = _HIST_CACHE.get(key)
+    if hist is None:
+        hist = _HIST_CACHE[key] = _rank_count_histogram(q, profile, k)
     return hist
 
 
@@ -241,22 +254,17 @@ def _rank_count_histogram(q: int, profile: FlagProfile, k: int) -> dict:
     return hist
 
 
-def _check_field(q) -> None:
-    if q not in (2, 3, 4):
-        raise ValueError("supported field sizes are 2, 3 and 4")
-
-
-def count_series(q, profile: FlagProfile, r, a1, a2, budget: int | None = None) -> int:
+def count_series(q, profile: FlagProfile, r, a1, a2) -> int:
     """Number of (r+1)-subspaces of F_q^n with vanishing >= a1, a2 at the flags.
 
-    A subspace qualifies when its vanishing sequence against flag i dominates
-    a_i componentwise.  Counting is by rank computations over F_q (see
-    _rank_count_histogram): canonical bases are enumerated without their
-    first row, whose choices are counted.  A hard budget (default 10^7
-    subspaces, env BN_ENUM_BUDGET) caps gaussian_binomial(n, r + 1, q) and
-    raises InfeasibleSize beyond it.
+    q must be in gf.FIELDS.  A subspace qualifies when its vanishing sequence
+    against flag i dominates a_i componentwise.  Counting is by rank
+    computations over F_q (see _rank_count_histogram): canonical bases are
+    enumerated without their first row, whose choices are counted.  A hard
+    budget (BN_ENUM_BUDGET, default 10^7 subspaces) caps
+    gaussian_binomial(n, r + 1, q) and raises InfeasibleSize beyond it.
     """
-    _check_field(q)
+    gf(q)  # rejects an unsupported field size
     n = profile.n
     k = r + 1
     want1 = VanishingSeq(a1, n).entries
@@ -266,7 +274,7 @@ def count_series(q, profile: FlagProfile, r, a1, a2, budget: int | None = None) 
             raise ValueError(f"expected {k} vanishing orders, got {len(want)}")
     if k > n:
         return 0
-    hist = _subspace_histogram(q, profile, k, _enum_budget(budget))
+    hist = _subspace_histogram(q, profile, k)
     total = 0
     for (b1, b2), mult in hist.items():
         if all(b1[j] >= want1[j] for j in range(k)) and all(
@@ -276,23 +284,18 @@ def count_series(q, profile: FlagProfile, r, a1, a2, budget: int | None = None) 
     return total
 
 
-def series_counts(qs, profile: FlagProfile, r, a1, a2, budget: int | None = None) -> list:
-    """[(q, count_series(q, ...)) for q in qs], refused before any q is counted.
+def series_counts(profile: FlagProfile, r, a1, a2) -> list:
+    """[(q, count_series(q, profile, r, a1, a2)) for q in gf.FIELDS].
 
-    Every q whose histogram is not cached is checked against the budget
-    first, so an over-budget q costs no counting at the smaller ones; the
-    refusal names the first such q, as counting in order would.  The bounds
-    a1, a2 are validated by count_series.
+    Every field size is checked against the budget before any is counted, so
+    an over-budget q costs no counting at the smaller ones; the refusal names
+    the first such q, as counting in order would.  The bounds a1, a2 are
+    validated by count_series.
     """
-    for q in qs:
-        _check_field(q)
-    k = r + 1
-    if k <= profile.n:
-        limit = _enum_budget(budget)
-        for q in qs:
-            if (q, profile.h, k) not in _HIST_CACHE:
-                refuse_over_budget(gaussian_binomial(profile.n, k, q), "subspaces", limit)
-    return [(q, count_series(q, profile, r, a1, a2, budget)) for q in qs]
+    if r + 1 <= profile.n:
+        for q in FIELDS:
+            _histogram_key(q, profile, r + 1)
+    return [(q, count_series(q, profile, r, a1, a2)) for q in FIELDS]
 
 
 def _poly_eval(coeffs, x):
@@ -411,12 +414,7 @@ def all_descriptors(d: int) -> list[LineBundleDescriptor]:
     return [generic_bundle(d)] + [special_bundle(d, a) for a in range(d + 1)]
 
 
-def ec_descriptor_scan(
-    m: EllipticModel,
-    p: BNProblem,
-    qs=(2, 3, 4),
-    budget: int | None = None,
-) -> dict:
+def ec_descriptor_scan(m: EllipticModel, p: BNProblem) -> dict:
     """Per-descriptor counting report for a genus-1 problem on the model.
 
     Uses the model's actual difference order, so a torsion pair makes
@@ -432,7 +430,7 @@ def ec_descriptor_scan(
     report = {"order_diff": order, "descriptors": []}
     for bundle in all_descriptors(p.d):
         profile = profile_g1(bundle, diff_order=order)
-        counts = series_counts(qs, profile, p.r, a1, a2, budget=budget)
+        counts = series_counts(profile, p.r, a1, a2)
         report["descriptors"].append(
             {
                 "bundle": "generic" if bundle.a is None else f"special({bundle.a})",
@@ -446,13 +444,13 @@ def ec_descriptor_scan(
     return report
 
 
-def ec_g1_nonempty(m: EllipticModel, p: BNProblem, budget: int | None = None) -> bool:
+def ec_g1_nonempty(m: EllipticModel, p: BNProblem) -> bool:
     """Brute-force nonemptiness for g = 1, requiring ord(P1 - P2) > d."""
     if ec_order_diff(m) <= p.d:
         raise ValueError(
             "generality hypothesis violated: ord(P1 - P2) must exceed d"
         )
-    return ec_descriptor_scan(m, p, budget=budget)["nonempty"]
+    return ec_descriptor_scan(m, p)["nonempty"]
 
 
 @lru_cache(maxsize=None)

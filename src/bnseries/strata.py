@@ -18,6 +18,7 @@ validated sequences and one ``Stratum`` per stratum and no ``BNProblem``.
 """
 
 from dataclasses import dataclass, field
+from math import comb
 from typing import Callable, Iterator
 
 from .core import (
@@ -29,6 +30,7 @@ from .core import (
     rho_from_totals,
     validate_problem,
 )
+from .oracle import refuse_over_budget
 
 
 def _node_gaps(alpha_y: RamSeq, alpha_z: RamSeq) -> list[int]:
@@ -89,6 +91,11 @@ def enumerate_refined_strata(r: int, d: int) -> Iterator[Stratum]:
     """All C(d+1, r+1) refined strata for the (r, d) context."""
     for alpha_y in all_ram_seqs(r, d):
         yield Stratum(alpha_y, refined_complement(alpha_y))
+
+
+def refuse_strata_over_budget(r: int, d: int) -> None:
+    """Raise InfeasibleSize when the C(d+1, r+1) refined strata exceed the enumeration budget."""
+    refuse_over_budget(comb(d + 1, r + 1), "strata")
 
 
 def fiber_dim_bound(s: Stratum) -> int:
@@ -170,8 +177,10 @@ def eh_nonempty_two_component(
     """Scan refined strata; true iff some stratum has both components nonempty.
 
     ``base_oracle`` decides nonemptiness of a component problem.  Injecting it
-    lets callers mix the general criterion with exact genus-0/1 oracles.
+    lets callers mix the general criterion with exact genus-0/1 oracles.  A
+    scan over the enumeration budget is refused before the first stratum.
     """
+    refuse_strata_over_budget(p.r, p.d)
     for s in enumerate_refined_strata(p.r, p.d):
         p_y, p_z = component_problems(p, s)
         if base_oracle(p_y) and base_oracle(p_z):

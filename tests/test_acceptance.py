@@ -137,7 +137,7 @@ def test_criterion_4b_genus0_rank2_oracle():
             for a1 in all_vanishing(2, d):
                 for a2 in all_vanishing(2, d):
                     expected = richardson_dim(d, a1, a2)
-                    counts = series_counts((2, 3, 4), prof, 2, a1.entries, a2.entries)
+                    counts = series_counts(prof, 2, a1.entries, a2.entries)
                     assert (expected is None) == all(n == 0 for _, n in counts), (d, a1, a2)
                     if expected is None:
                         continue

@@ -233,8 +233,21 @@ def test_oracle_verify_refuses_before_counting(monkeypatch):
         lambda w: w["components"][0].update(rho=True),
         lambda w: w["components"][0]["left"].__setitem__(0, 0.0),
         lambda w: w.update(total_rho=float(w["total_rho"])),
+        lambda w: w["components"][0].update(rho=str(w["components"][0]["rho"])),
+        lambda w: w["components"][0]["left"].__setitem__(0, "0"),
+        lambda w: w.update(r="1"),
+        lambda w: w.update(total_rho=str(w["total_rho"])),
+        lambda w: w.update(
+            {key: str(w[key]) for key in ("r", "d", "total_rho")},
+            components=[
+                {"genus": str(c["genus"]), "rho": str(c["rho"]),
+                 "left": [str(a) for a in c["left"]], "right": [str(a) for a in c["right"]]}
+                for c in w["components"]
+            ],
+        ),
     ],
-    ids=["float-rho", "bool-rho", "float-left", "float-total-rho"],
+    ids=["float-rho", "bool-rho", "float-left", "float-total-rho"]
+    + ["string-rho", "string-left", "string-r", "string-total-rho", "all-strings"],
 )
 def test_witness_non_integers_are_malformed(change):
     params = {"g": 2, "r": 1, "d": 3}
@@ -344,3 +357,126 @@ def test_sweep_points_closed_form(alphas):
                     for r in range(min(r_max, d) + 1)
                 )
                 assert _sweep_points(g_max, r_max, d_max, alphas) == want
+
+
+@pytest.mark.parametrize("verify", ["no", "", 0, 1, [], {}], ids=["no", "empty", "0", "1", "list", "dict"])
+def test_chain_verify_must_be_a_boolean(verify):
+    params = {"g": 2, "r": 1, "d": 3}
+    witness = run({"command": "chain", "params": params})[0]["payload"]
+    response, code = run(
+        {"command": "chain", "params": {**params, "verify": verify, "witness": witness}}
+    )
+    assert (response["diagnostics"], code) == (["parameter 'verify' must be true, false or null"], 1)
+
+
+def test_chain_verify_true_false_or_null():
+    params = {"g": 2, "r": 1, "d": 3}
+    built = run({"command": "chain", "params": params})
+    witness = built[0]["payload"]
+    for verify in (False, None):
+        assert run({"command": "chain", "params": {**params, "verify": verify, "witness": witness}}) == built
+    verified, code = run({"command": "chain", "params": {**params, "verify": True, "witness": witness}})
+    assert (verified["payload"], code) == ({"valid": True, "violations": []}, 0)
+
+
+@pytest.mark.parametrize("params", ['"g_max"', "[1]", "5", "null"])
+def test_main_sweep_checks_params_like_run(params, capsys):
+    request = f'{{"command":"sweep","params":{params}}}'
+    assert main(["--json", request]) == 1
+    response = json.loads(capsys.readouterr().out)
+    assert response == run(json.loads(request))[0]
+    assert response["diagnostics"] == ["params must be a JSON object"]
+
+
+def test_refusal_of_a_size_beyond_the_str_digit_limit_is_infeasible(monkeypatch):
+    from bnseries import cli
+
+    monkeypatch.delenv("BN_ENUM_BUDGET", raising=False)
+    monkeypatch.setattr(cli, "enumerate_refined_strata", _no_enumeration)
+    monkeypatch.setattr(cli, "all_ram_seqs", _no_sweep_enumeration)
+    strata = comb(15001, 7001)  # about 4,500 decimal digits
+    requests = [
+        ({"command": "strata", "params": {"r": 7000, "d": 15000}}, strata, "strata"),
+        ({"command": "sweep", "params": {"g_max": 0, "r_max": 7000, "d_max": 15000, "alphas": "all"}},
+         strata**2, "sweep points"),
+    ]
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for request, size, unit in requests:
+        response, code = run(request)
+        assert code == 2
+        (diagnostic,) = response["diagnostics"]
+        assert diagnostic.startswith("InfeasibleSize: enumeration of at least ")
+        assert diagnostic.endswith(f" {unit} exceeds the budget of 10000000")
+        if 0 < digit_limit <= 4300:
+            assert f" at least 2^{size.bit_length() - 1} {unit} " in diagnostic
+
+
+def _counting_comb(monkeypatch):
+    from bnseries import cli
+
+    calls = []
+
+    def counted(n, k):
+        calls.append((n, k))
+        return comb(n, k)
+
+    monkeypatch.setattr(cli, "comb", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "grid, floor",
+    [
+        ((0, 3000, 3000, "all"), comb(3001, 1500) ** 2),
+        ((0, 200, 100000, "all"), comb(100001, 201) ** 2),
+        ((4, 3, 12, "all"), 5 * comb(13, 4) ** 2),
+    ],
+    ids=["r3000-d3000", "r200-d100000", "g4-r3-d12"],
+)
+def test_sweep_far_over_budget_is_refused_by_one_binomial(grid, floor, monkeypatch):
+    calls = _counting_comb(monkeypatch)
+    monkeypatch.setenv("BN_ENUM_BUDGET", "10")
+    params = dict(zip(("g_max", "r_max", "d_max", "alphas"), grid))
+    response, code = run({"command": "sweep", "params": params})
+    assert code == 2
+    assert response["diagnostics"][0].startswith(f"InfeasibleSize: enumeration of at least {floor} sweep")
+    assert len(calls) == 1
+
+
+def test_zero_sweep_is_counted_in_closed_form(monkeypatch):
+    calls = _counting_comb(monkeypatch)
+    monkeypatch.delenv("BN_ENUM_BUDGET", raising=False)
+    n = 10**9
+    params = {"g_max": 0, "r_max": n, "d_max": n, "alphas": "zero"}
+    response, code = run({"command": "sweep", "params": params})
+    want = (n + 1) * (n + 2) // 2
+    assert (response["diagnostics"], code) == (
+        [f"InfeasibleSize: enumeration of {want} sweep points exceeds the budget of 10000000"],
+        2,
+    )
+    assert calls == []
+
+
+class _PastTheBudgetCheck(Exception):
+    pass
+
+
+def _stop_enumeration(r, d):
+    raise _PastTheBudgetCheck
+
+
+def test_sweep_lower_bound_never_refuses_a_grid_within_budget(monkeypatch):
+    from bnseries import cli
+
+    monkeypatch.setattr(cli, "all_ram_seqs", _stop_enumeration)
+    for g_max in range(3):
+        for r_max in range(5):
+            for d_max in range(7):
+                params = {"g_max": g_max, "r_max": r_max, "d_max": d_max, "alphas": "all"}
+                size = cli._sweep_points(g_max, r_max, d_max, "all")
+                monkeypatch.setenv("BN_ENUM_BUDGET", str(size))
+                with pytest.raises(_PastTheBudgetCheck):
+                    next(iter_sweep(params))
+                monkeypatch.setenv("BN_ENUM_BUDGET", str(size - 1))
+                response, code = run({"command": "sweep", "params": params})
+                assert code == 2 and "InfeasibleSize" in response["diagnostics"][0], params

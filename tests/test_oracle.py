@@ -94,9 +94,10 @@ def test_count_series_no_subspaces_when_rank_too_big():
     assert count_series(2, profile_complementary(2), 2, (0, 1, 2), (0, 1, 2)) == 0
 
 
-def test_count_series_budget():
+def test_count_series_budget(monkeypatch):
+    monkeypatch.setenv("BN_ENUM_BUDGET", "10")
     with pytest.raises(InfeasibleSize):
-        count_series(4, profile_complementary(7), 2, (0, 1, 2), (0, 1, 2), budget=10)
+        count_series(4, profile_complementary(7), 2, (0, 1, 2), (0, 1, 2))
 
 
 def test_count_series_rejects_bad_input():
@@ -189,17 +190,18 @@ def test_budget_refuses_before_counting_any_field(monkeypatch):
     size = gaussian_binomial(5, 2, 4)
     budget = gaussian_binomial(5, 2, 3) + 1  # q = 2 and 3 fit, q = 4 does not
     assert budget < size
+    monkeypatch.setenv("BN_ENUM_BUDGET", str(budget))
     message = f"enumeration of {size} subspaces exceeds the budget of {budget}"
     with pytest.raises(InfeasibleSize, match=message):
-        series_counts((2, 3, 4), profile_complementary(5), 1, (0, 1), (0, 1), budget=budget)
+        series_counts(profile_complementary(5), 1, (0, 1), (0, 1))
     with pytest.raises(InfeasibleSize, match=message):
-        ec_descriptor_scan(load_fixture("general"), problem(1, 1, 5), budget=budget)
+        ec_descriptor_scan(load_fixture("general"), problem(1, 1, 5))
     assert oracle._HIST_CACHE == {}
 
 
 def test_series_counts_match_count_series():
     prof = profile_complementary(4)
-    counts = series_counts((2, 3, 4), prof, 1, (0, 2), (1, 2))
+    counts = series_counts(prof, 1, (0, 2), (1, 2))
     assert counts == [(q, count_series(q, prof, 1, (0, 2), (1, 2))) for q in (2, 3, 4)]
 
 

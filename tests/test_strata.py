@@ -243,3 +243,22 @@ def test_strata_scan_work_counts(monkeypatch):
     assert built["_Seq"] <= 2 * strata + 2
     # the glued problem, parsed once; TwoComponentProblem checks it without building it
     assert built["BNProblem"] == 1
+
+
+def _no_strata(r, d):
+    raise AssertionError("strata enumerated past the budget check")
+
+
+def test_eh_nonempty_refuses_over_budget_before_the_first_stratum(monkeypatch):
+    from bnseries import InfeasibleSize, strata
+
+    monkeypatch.setenv("BN_ENUM_BUDGET", "10")
+    fits = TwoComponentProblem(1, 1, 1, 4, zero_ram(1, 4), zero_ram(1, 4))  # C(5, 2) = 10 strata
+    assert eh_nonempty_two_component(fits, nonempty_criterion)
+    monkeypatch.setattr(strata, "enumerate_refined_strata", _no_strata)
+    over = TwoComponentProblem(1, 1, 1, 5, zero_ram(1, 5), zero_ram(1, 5))  # C(6, 2) = 15
+    message = "enumeration of 15 strata exceeds the budget of 10"
+    with pytest.raises(InfeasibleSize, match=message):
+        eh_nonempty_two_component(over, nonempty_criterion)
+    response, _ = run({"command": "strata", "params": {"r": 1, "d": 5, "gy": 1, "gz": 1}})
+    assert response["diagnostics"] == [f"InfeasibleSize: {message}"]
