@@ -18,6 +18,7 @@ from .chains import (
 )
 from .core import (
     BNProblem,
+    InfeasibleSize,
     RamSeq,
     VanishingSeq,
     all_problems,
@@ -33,7 +34,6 @@ from .core import (
 from .oracle import (
     EllipticModel,
     FlagProfile,
-    InfeasibleSize,
     NoFit,
     count_series,
     dim_fit,

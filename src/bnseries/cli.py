@@ -13,6 +13,7 @@ request document via --json.  All output is byte-deterministic.
 
 import argparse
 import json
+import os
 import sys
 from math import comb
 from pathlib import Path
@@ -32,6 +33,7 @@ from .core import (
     criterion_excess,
     nonempty_criterion,
     problem,
+    refuse_over_budget,
     rho,
     rho_from_totals,
     zero_ram,
@@ -41,7 +43,7 @@ from .oracle import (
     ec_descriptor_scan,
     load_fixture,
     profile_complementary,
-    refuse_over_budget,
+    refuse_subspaces_over_budget,
     series_counts,
 )
 from .realize import classify_g1_vanishing, g0_vanishing_check, realize_g0, realize_g1, richardson_dim
@@ -156,6 +158,7 @@ def _cmd_chain(params: dict):
     verify = params.get("verify")
     if verify is not None and type(verify) is not bool:
         raise InvalidRequest("parameter 'verify' must be true, false or null")
+    refuse_over_budget(p.g * (p.r + 1), "chain entries")  # g components of r + 1 entries a side
     if verify:
         witness_data = params.get("witness")
         if witness_data is None:
@@ -181,6 +184,8 @@ def _cmd_realize(params: dict):
     a1 = _vanishing(params, "a1", r, d)
     a2 = _vanishing(params, "a2", r, d)
     if genus == 0:
+        # r + 1 rows of d + 1 rationals, eliminated column by column against each other
+        refuse_over_budget((r + 1) ** 2 * (d + 1), "elimination entries")
         series = realize_g0(r, d, a1, a2)
         if series is None:
             return "empty", {"genus": 0}
@@ -192,6 +197,7 @@ def _cmd_realize(params: dict):
             "vanishing_at_p1": list(at0.entries),
             "vanishing_at_p2": list(at_inf.entries),
         }
+    refuse_over_budget(2 * d, "vanishing orders")  # d at each marked point
     bundle = realize_g1(r, d, a1, a2)
     if bundle is None:
         return "empty", {"genus": 1}
@@ -217,6 +223,7 @@ def _cmd_oracle_verify(params: dict):
         a1 = _vanishing(params, "a1", r, d)
         a2 = _vanishing(params, "a2", r, d)
         expected = richardson_dim(d, a1, a2)
+        refuse_subspaces_over_budget(d + 1, r + 1)
         profile = profile_complementary(d + 1)
         counts = [list(c) for c in series_counts(profile, r, a1.entries, a2.entries)]
         if expected is None:
@@ -286,10 +293,10 @@ def iter_sweep(params: dict) -> Iterator[dict]:
     A grid over the enumeration budget is refused before the first point.
     An 'all' grid is first held against its largest (r, d_max) slice, one
     binomial, where the exact count takes O(min(r_max, d_max)^2) of them.
-    Each (r, d) context's sequences are enumerated and validated once, and a
-    point is decided on their entry tuples and totals; only a nonempty
-    ``chain`` point builds its BNProblem.  Its chain is built on the chains
-    of the previous genus layer, which is all that is kept of them.
+    Each (r, d) context's sequences are enumerated and validated once per
+    genus, and a point is decided on their entry tuples and totals; only a
+    nonempty ``chain`` point builds its BNProblem.  Its chain is built on the
+    chains of the previous genus layer, which is all that is kept of them.
     """
     g_max = _get_int(params, "g_max", 0)
     r_max = _get_int(params, "r_max", 0)
@@ -364,7 +371,7 @@ def _checked(request) -> tuple[str, dict]:
     if not isinstance(request, dict):
         raise InvalidRequest("request must be a JSON object")
     command = request.get("command")
-    if command not in _COMMANDS:
+    if not isinstance(command, str) or command not in _COMMANDS:  # a list would fail the lookup
         raise InvalidRequest(f"unknown command {command!r}")
     params = request.get("params", {})
     if not isinstance(params, dict):
@@ -437,6 +444,17 @@ def _request_from_args(args) -> dict:
 
 def main(argv=None) -> int:
     try:
+        code = _respond(argv)
+        sys.stdout.flush()  # a closed stdout shows here rather than at exit
+        return code
+    except BrokenPipeError:  # the reader is gone: stop writing, without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit succeeds
+        return 2
+
+
+def _respond(argv) -> int:
+    """Write the response to argv on stdout; the exit code."""
+    try:
         request = _request_from_args(_build_parser().parse_args(argv))
         command, params = _checked(request)
         if command == "sweep":  # streamed, one line per grid point
@@ -444,6 +462,8 @@ def main(argv=None) -> int:
                 print(_dump(line))
             return 0
         response, code = run(request)
+    except BrokenPipeError:  # not a failure of the request
+        raise
     except Exception as exc:  # same envelope and exit codes as run()
         response, code = _error(exc)
     print(_dump(response))

@@ -24,13 +24,42 @@ Conventions used throughout the package:
   ``rho_from_totals``, which ``criterion_sum`` and ``rho`` delegate to, so a
   scan over many sequences need not build a ``BNProblem`` for each.
 
-All arithmetic is exact; every function in this module is pure and safe to
-call concurrently.
+All arithmetic is exact.  ``refuse_over_budget`` is the one check of the
+enumeration budget that bounds every request; every other function in this
+module is pure and safe to call concurrently.
 """
 
+import os
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterator
+
+DEFAULT_ENUM_BUDGET = 10**7
+
+
+class InfeasibleSize(RuntimeError):
+    """The requested enumeration exceeds the configured budget."""
+
+
+def refuse_over_budget(size: int, unit: str, at_least: bool = False) -> None:
+    """Raise InfeasibleSize when enumerating ``size`` ``unit`` exceeds the budget.
+
+    The budget is BN_ENUM_BUDGET, or DEFAULT_ENUM_BUDGET when unset; ``at_least``
+    marks ``size`` as a lower bound.  A size with more decimal digits than
+    int-to-str conversion allows is named by the power of two below it.
+    """
+    raw = os.environ.get("BN_ENUM_BUDGET", DEFAULT_ENUM_BUDGET)
+    try:
+        limit = int(raw)
+    except ValueError:  # a configuration failure, not invalid input
+        raise RuntimeError(f"BN_ENUM_BUDGET must be an integer, got {raw!r}") from None
+    if size > limit:
+        try:
+            text = str(size)
+        except ValueError:  # the process-wide digit limit is left as it is
+            text, at_least = f"2^{size.bit_length() - 1}", True
+        bound = "at least " if at_least else ""
+        raise InfeasibleSize(f"enumeration of {bound}{text} {unit} exceeds the budget of {limit}")
 
 
 @dataclass(frozen=True, init=False)

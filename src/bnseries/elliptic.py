@@ -68,7 +68,7 @@ def point_order(p: int, a: int, pt: Point) -> int:
     while current is not None:
         current = ec_add(p, a, current, pt)
         order += 1
-        if order > p + 1 + 2 * int(p**0.5) + 2:
+        if order > p + 1 + 2 * isqrt(p) + 2:
             raise RuntimeError("point order exceeded the Hasse bound; bad curve data")
     return order if pt is not None else 1
 

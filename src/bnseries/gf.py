@@ -137,7 +137,10 @@ def lead_positions(field: GF, rows: list[list[int]], col_order: list[int]) -> li
 
     Scans columns in the given order, picking a pivot row for each column
     that is independent of the previous pivots, and eliminating it from the
-    remaining rows.  Returns one position per nonzero row of the span.
+    remaining rows.  Returns one position per nonzero row of the span.  The
+    oracle tests compare the histograms against it, and
+    realize.g0_vanishing_check reads vanishing orders with it over the
+    rationals, through a field object with the same inv, mul and sub.
     """
     work = [row[:] for row in rows]
     leads = []
@@ -152,6 +155,8 @@ def lead_positions(field: GF, rows: list[list[int]], col_order: list[int]) -> li
             continue
         used[pivot] = True
         leads.append(pos)
+        if len(leads) == len(work):
+            break  # every row has its pivot; no later column can lead
         inv = field.inv(work[pivot][col])
         for i in range(len(work)):
             if i != pivot and not used[i] and work[i][col] != 0:

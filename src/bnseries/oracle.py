@@ -24,23 +24,15 @@ reproduces the excluded degeneration where two special bundles coincide.
 """
 
 import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .core import BNProblem, VanishingSeq, to_vanishing
+from .core import BNProblem, VanishingSeq, refuse_over_budget, to_vanishing
 from .elliptic import discriminant, ec_add, ec_neg, is_on_curve, is_prime, point_order
 from .gf import FIELDS, echelon_insert, gaussian_binomial, gf, rref_matrices
 from .realize import LineBundleDescriptor, generic_bundle, special_bundle
-
-DEFAULT_ENUM_BUDGET = 10**7
-
-
-class InfeasibleSize(RuntimeError):
-    """The requested enumeration exceeds the configured budget."""
-
 
 class NoFit(RuntimeError):
     """The point counts admit no verified exact polynomial fit."""
@@ -146,51 +138,18 @@ def basis_orders(profile: FlagProfile) -> tuple[tuple[int, int], ...]:
     return tuple(orders)
 
 
-def _enum_budget() -> int:
-    raw = os.environ.get("BN_ENUM_BUDGET", DEFAULT_ENUM_BUDGET)
-    try:
-        return int(raw)
-    except ValueError:  # a configuration failure, not invalid input
-        raise RuntimeError(f"BN_ENUM_BUDGET must be an integer, got {raw!r}") from None
+def refuse_subspaces_over_budget(n: int, k: int) -> None:
+    """Raise InfeasibleSize for the first q in gf.FIELDS with too many k-subspaces of F_q^n.
 
-
-_HIST_CACHE: dict = {}
-
-
-def refuse_over_budget(size: int, unit: str, at_least: bool = False) -> None:
-    """Raise InfeasibleSize when enumerating ``size`` ``unit`` exceeds the budget.
-
-    The budget is BN_ENUM_BUDGET, or DEFAULT_ENUM_BUDGET when unset; ``at_least``
-    marks ``size`` as a lower bound.  A size with more decimal digits than
-    int-to-str conversion allows is named by the power of two below it.
+    The check needs only (n, k), so a request is refused before any profile
+    is built.  With k > n there is nothing to count and nothing is checked.
     """
-    limit = _enum_budget()
-    if size > limit:
-        try:
-            text = str(size)
-        except ValueError:  # the process-wide digit limit is left as it is
-            text, at_least = f"2^{size.bit_length() - 1}", True
-        bound = "at least " if at_least else ""
-        raise InfeasibleSize(f"enumeration of {bound}{text} {unit} exceeds the budget of {limit}")
+    if k <= n:
+        for q in FIELDS:
+            refuse_over_budget(gaussian_binomial(n, k, q), "subspaces")
 
 
-def _histogram_key(q: int, profile: FlagProfile, k: int) -> tuple:
-    """The cache key of a histogram; an uncached one over the budget is refused."""
-    key = (q, profile.h, k)
-    if key in _HIST_CACHE:
-        _enum_budget()  # still read, so a malformed BN_ENUM_BUDGET fails every count alike
-    else:
-        refuse_over_budget(gaussian_binomial(profile.n, k, q), "subspaces")
-    return key
-
-
-def _subspace_histogram(q: int, profile: FlagProfile, k: int) -> dict:
-    """Joint tally of vanishing-sequence pairs over all k-subspaces of F_q^n."""
-    key = _histogram_key(q, profile, k)
-    hist = _HIST_CACHE.get(key)
-    if hist is None:
-        hist = _HIST_CACHE[key] = _rank_count_histogram(q, profile, k)
-    return hist
+_HIST_CACHE: dict = {}  # joint tallies of vanishing-sequence pairs, by (q, profile table, k)
 
 
 def _rank_count_histogram(q: int, profile: FlagProfile, k: int) -> dict:
@@ -262,7 +221,8 @@ def count_series(q, profile: FlagProfile, r, a1, a2) -> int:
     computations over F_q (see _rank_count_histogram): canonical bases are
     enumerated without their first row, whose choices are counted.  A hard
     budget (BN_ENUM_BUDGET, default 10^7 subspaces) caps
-    gaussian_binomial(n, r + 1, q) and raises InfeasibleSize beyond it.
+    gaussian_binomial(n, r + 1, q) and raises InfeasibleSize beyond it, cached
+    histogram or not.
     """
     gf(q)  # rejects an unsupported field size
     n = profile.n
@@ -274,7 +234,11 @@ def count_series(q, profile: FlagProfile, r, a1, a2) -> int:
             raise ValueError(f"expected {k} vanishing orders, got {len(want)}")
     if k > n:
         return 0
-    hist = _subspace_histogram(q, profile, k)
+    refuse_over_budget(gaussian_binomial(n, k, q), "subspaces")
+    key = (q, profile.h, k)
+    hist = _HIST_CACHE.get(key)
+    if hist is None:
+        hist = _HIST_CACHE[key] = _rank_count_histogram(q, profile, k)
     total = 0
     for (b1, b2), mult in hist.items():
         if all(b1[j] >= want1[j] for j in range(k)) and all(
@@ -292,9 +256,7 @@ def series_counts(profile: FlagProfile, r, a1, a2) -> list:
     the first such q, as counting in order would.  The bounds a1, a2 are
     validated by count_series.
     """
-    if r + 1 <= profile.n:
-        for q in FIELDS:
-            _histogram_key(q, profile, r + 1)
+    refuse_subspaces_over_budget(profile.n, r + 1)
     return [(q, count_series(q, profile, r, a1, a2)) for q in FIELDS]
 
 
@@ -381,7 +343,7 @@ class EllipticModel:
     """A curve y^2 = x^3 + a x + b over F_p with marked points P1, P2.
 
     ``order_diff`` records the group order of P1 - P2; it is stored with the
-    fixture and re-derivable via ec_order_diff.
+    fixture and checked against ec_order_diff when the model is built.
     """
 
     p: int
@@ -401,6 +363,9 @@ class EllipticModel:
         for pt in (self.p1, self.p2):
             if not is_on_curve(self.p, self.a, self.b, pt):
                 raise ValueError(f"point {pt} is not on the curve")
+        order = ec_order_diff(self)
+        if self.order_diff != order:
+            raise ValueError(f"stored order_diff {self.order_diff} != ord(P1 - P2) = {order}")
 
 
 def ec_order_diff(m: EllipticModel) -> int:
@@ -418,13 +383,16 @@ def ec_descriptor_scan(m: EllipticModel, p: BNProblem) -> dict:
     """Per-descriptor counting report for a genus-1 problem on the model.
 
     Uses the model's actual difference order, so a torsion pair makes
-    coinciding special bundles (and their degenerate loci) visible.
+    coinciding special bundles (and their degenerate loci) visible.  Every
+    profile has n = d, so an over-budget request is refused before any is
+    built.
     """
     if p.g != 1:
         raise ValueError("the descriptor scan is a genus-1 oracle")
-    order = ec_order_diff(m)
+    order = m.order_diff
     if order < 2:
         raise ValueError("marked points must be distinct (ord(P1 - P2) >= 2)")
+    refuse_subspaces_over_budget(p.d, p.r + 1)
     a1 = to_vanishing(p.alpha1).entries
     a2 = to_vanishing(p.alpha2).entries
     report = {"order_diff": order, "descriptors": []}
@@ -446,7 +414,7 @@ def ec_descriptor_scan(m: EllipticModel, p: BNProblem) -> dict:
 
 def ec_g1_nonempty(m: EllipticModel, p: BNProblem) -> bool:
     """Brute-force nonemptiness for g = 1, requiring ord(P1 - P2) > d."""
-    if ec_order_diff(m) <= p.d:
+    if m.order_diff <= p.d:
         raise ValueError(
             "generality hypothesis violated: ord(P1 - P2) must exceed d"
         )

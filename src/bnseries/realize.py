@@ -17,10 +17,16 @@ for at most one j; equality at j forces L = O(a1_j P1 + a2_{r-j} P2).
 All linear algebra is exact over the rationals.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .core import VanishingSeq, gaps
+from .gf import lead_positions
+
+# the field operations gf.lead_positions uses, over the rationals
+_RATIONALS = SimpleNamespace(inv=lambda a: Fraction(1, a), mul=operator.mul, sub=operator.sub)
 
 
 class DegenerateBasis(ValueError):
@@ -97,46 +103,17 @@ def realize_g0(r: int, d: int, a1: VanishingSeq, a2: VanishingSeq) -> G0Series |
     return G0Series(d, tuple(rows))
 
 
-def _pivot_columns(rows: list[list[Fraction]]) -> list[int]:
-    """Column indices of pivots under forward Gaussian elimination."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    top = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(top, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[top], rows[pivot] = rows[pivot], rows[top]
-        lead = rows[top][col]
-        for i in range(top + 1, len(rows)):
-            if rows[i][col] != 0:
-                factor = rows[i][col] / lead
-                for c in range(col, ncols):
-                    rows[i][c] -= factor * rows[top][c]
-        pivots.append(col)
-        top += 1
-        if top == len(rows):
-            break
-    return pivots
-
-
 def g0_vanishing_check(s: G0Series) -> tuple[VanishingSeq, VanishingSeq]:
     """Exact vanishing sequences of the span at 0 and infinity.
 
-    Row-reduces the coefficient matrix in increasing-power order for the
-    point 0 and in decreasing-power order for infinity; pivot columns are the
-    orders of an adapted basis.  Raises DegenerateBasis for dependent input.
+    Row-reduces the coefficient matrix over the rationals in increasing-power
+    order for the point 0 and in decreasing-power order for infinity; the
+    lead positions are the orders of an adapted basis.  Raises
+    DegenerateBasis for dependent input.
     """
-    rows0 = [[Fraction(c) for c in row] for row in s.basis]
-    rows_inf = [list(reversed(row)) for row in rows0]
-    at0 = _pivot_columns(rows0)
-    at_inf = _pivot_columns(rows_inf)
+    rows = [list(row) for row in s.basis]
+    at0 = lead_positions(_RATIONALS, rows, list(range(s.d + 1)))
+    at_inf = lead_positions(_RATIONALS, rows, list(range(s.d, -1, -1)))
     if len(at0) < len(s.basis) or len(at_inf) < len(s.basis):
         raise DegenerateBasis("basis polynomials are linearly dependent")
     return VanishingSeq(tuple(at0), s.d), VanishingSeq(tuple(at_inf), s.d)

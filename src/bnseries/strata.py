@@ -27,10 +27,10 @@ from .core import (
     all_ram_seqs,
     criterion_excess,
     gaps,
+    refuse_over_budget,
     rho_from_totals,
     validate_problem,
 )
-from .oracle import refuse_over_budget
 
 
 def _node_gaps(alpha_y: RamSeq, alpha_z: RamSeq) -> list[int]:
@@ -72,14 +72,6 @@ class Stratum:
                 f"{self.alpha_z.entries} for (r={self.alpha_y.r}, d={self.alpha_y.d})"
             )
         object.__setattr__(self, "_excess", sum(node_gaps))
-
-    @property
-    def r(self) -> int:
-        return self.alpha_y.r
-
-    @property
-    def d(self) -> int:
-        return self.alpha_y.d
 
     @property
     def refined(self) -> bool:

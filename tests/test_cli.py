@@ -3,22 +3,31 @@ import os
 import subprocess
 import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import bnseries
 from bnseries.cli import iter_sweep, main, run
+
+# the child process imports the same bnseries as this one, installed or not
+SRC = str(Path(bnseries.__file__).resolve().parents[1])
+
+
+def child_env(env=None):
+    full_env = dict(os.environ)
+    full_env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    full_env.update(env or {})
+    return full_env
 
 
 def invoke(argv, stdin=None, env=None):
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
     proc = subprocess.run(
         [sys.executable, "-m", "bnseries.cli", *argv],
         input=stdin,
         capture_output=True,
         text=True,
-        env=full_env,
+        env=child_env(env),
     )
     return proc
 
@@ -83,10 +92,12 @@ def test_invalid_alpha_is_exit_1():
     assert response["diagnostics"]
 
 
-def test_unknown_command_is_exit_1():
-    response, code = run({"command": "frobnicate", "params": {}})
+@pytest.mark.parametrize("command", ["frobnicate", ["rho"], {"rho": 1}])
+def test_unknown_command_is_exit_1(command):
+    response, code = run({"command": command, "params": {}})
     assert code == 1
     assert response["status"] == "error"
+    assert response["diagnostics"] == [f"unknown command {command!r}"]
 
 
 def test_strata_command():
@@ -480,3 +491,95 @@ def test_sweep_lower_bound_never_refuses_a_grid_within_budget(monkeypatch):
                 monkeypatch.setenv("BN_ENUM_BUDGET", str(size - 1))
                 response, code = run({"command": "sweep", "params": params})
                 assert code == 2 and "InfeasibleSize" in response["diagnostics"][0], params
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("work started past the budget check")
+
+
+@pytest.mark.parametrize(
+    "params, n",
+    [
+        ({"genus": 0, "r": 0, "d": 3200, "a1": [0], "a2": [0]}, 3201),
+        ({"genus": 1, "r": 0, "d": 200, "alpha1": [0], "alpha2": [0]}, 200),
+    ],
+)
+def test_oracle_verify_over_budget_builds_no_profile(params, n, monkeypatch):
+    from bnseries import cli, oracle
+    from bnseries.gf import gaussian_binomial
+
+    monkeypatch.delenv("BN_ENUM_BUDGET", raising=False)
+    monkeypatch.setattr(cli, "profile_complementary", _never)
+    monkeypatch.setattr(oracle, "profile_g1", _never)
+    response, code = run({"command": "oracle-verify", "params": params})
+    size = gaussian_binomial(n, 1, 2)  # q = 2 is already over budget
+    assert (response["diagnostics"], code) == (
+        [f"InfeasibleSize: enumeration of {size} subspaces exceeds the budget of 10000000"],
+        2,
+    )
+
+
+def test_closed_stdout_ends_quietly_with_exit_2():
+    argv = ["sweep", "--g-max", "6", "--r-max", "2", "--d-max", "5", "--alphas", "all", "--command", "chain"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "bnseries.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()
+    ) as proc:
+        assert json.loads(proc.stdout.readline())["status"] == "ok"
+        proc.stdout.close()  # about 1 MB is still to come, far more than a pipe buffers
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
+
+
+@pytest.mark.parametrize(
+    "request_, names, message",
+    [
+        ({"command": "chain", "params": {"g": 6, "r": 1, "d": 3}}, ["build_chain"], "12 chain entries"),
+        (
+            {"command": "chain", "params": {"g": 6, "r": 1, "d": 3, "verify": True, "witness": {}}},
+            ["witness_from_dict", "chain_violations"],
+            "12 chain entries",
+        ),
+        (
+            {"command": "realize", "params": {"genus": 0, "r": 1, "d": 2, "a1": [0, 1], "a2": [0, 1]}},
+            ["realize_g0", "g0_vanishing_check"],
+            "12 elimination entries",
+        ),
+        (
+            {"command": "realize", "params": {"genus": 1, "r": 0, "d": 6, "a1": [0], "a2": [0]}},
+            ["realize_g1", "classify_g1_vanishing"],
+            "12 vanishing orders",
+        ),
+    ],
+)
+def test_chain_and_realize_over_budget_are_refused_before_any_work(request_, names, message, monkeypatch):
+    from bnseries import cli
+
+    monkeypatch.setenv("BN_ENUM_BUDGET", "11")
+    for name in names:
+        monkeypatch.setattr(cli, name, _never)
+    response, code = run(request_)
+    assert (response["diagnostics"], code) == ([f"InfeasibleSize: enumeration of {message} exceeds the budget of 11"], 2)
+    monkeypatch.undo()
+    monkeypatch.setenv("BN_ENUM_BUDGET", "12")  # a budget of exactly the request's size admits it
+    response, code = run(request_)
+    assert code != 2, response
+
+
+@pytest.mark.parametrize(
+    "genus, r, d, size",
+    [
+        (0, 2000, 4000, "16020008001 elimination entries"),
+        (0, 400, 800, "128801601 elimination entries"),
+        (1, 0, 10**7, "20000000 vanishing orders"),
+    ],
+)
+def test_large_realize_requests_are_refused_at_once(genus, r, d, size, monkeypatch):
+    from bnseries import cli
+
+    monkeypatch.delenv("BN_ENUM_BUDGET", raising=False)
+    for name in ("realize_g0", "g0_vanishing_check", "realize_g1", "classify_g1_vanishing"):
+        monkeypatch.setattr(cli, name, _never)
+    seq = list(range(r + 1))
+    response, code = run({"command": "realize", "params": {"genus": genus, "r": r, "d": d, "a1": seq, "a2": seq}})
+    assert (response["diagnostics"], code) == ([f"InfeasibleSize: enumeration of {size} exceeds the budget of 10000000"], 2)

@@ -261,6 +261,36 @@ def test_fixtures_are_consistent():
     assert ec_order_diff(torsion) == torsion.order_diff == 2
 
 
+def test_elliptic_model_rejects_a_stored_order_that_the_group_law_contradicts():
+    m = load_fixture("general")
+    with pytest.raises(ValueError, match=r"stored order_diff 5 != ord\(P1 - P2\) = 6"):
+        EllipticModel(m.p, m.a, m.b, m.p1, m.p2, 5)
+
+
+def test_scan_on_a_loaded_fixture_walks_no_group_law(monkeypatch):
+    general, torsion = load_fixture("general"), load_fixture("torsion2")
+    walks = []
+    monkeypatch.setattr(oracle, "point_order", lambda *args: walks.append(args))
+    assert ec_descriptor_scan(general, problem(1, 1, 3))["order_diff"] == 6
+    assert ec_descriptor_scan(torsion, problem(1, 0, 2))["order_diff"] == 2
+    assert ec_g1_nonempty(general, problem(1, 1, 3, (1, 2), (0, 0)))
+    with pytest.raises(ValueError):
+        ec_g1_nonempty(torsion, problem(1, 0, 2))
+    assert walks == []
+
+
+def test_cached_histogram_does_not_bypass_a_lowered_budget(monkeypatch):
+    prof = profile_complementary(5)
+    assert count_series(4, prof, 1, (0, 1), (0, 1)) > 0  # cached under the default budget
+    budget = gaussian_binomial(5, 2, 4) - 1
+    monkeypatch.setenv("BN_ENUM_BUDGET", str(budget))
+    message = f"enumeration of {budget + 1} subspaces exceeds the budget of {budget}"
+    with pytest.raises(InfeasibleSize, match=message):
+        count_series(4, prof, 1, (0, 1), (0, 1))
+    with pytest.raises(InfeasibleSize, match=message):
+        series_counts(prof, 1, (0, 1), (0, 1))
+
+
 def test_load_fixture_is_cached_by_name():
     assert load_fixture("general") is load_fixture("general")
     for _ in range(2):
