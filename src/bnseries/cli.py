@@ -47,8 +47,7 @@ from .oracle import (
     series_counts,
 )
 from .realize import classify_g1_vanishing, g0_vanishing_check, realize_g0, realize_g1, richardson_dim
-from .strata import TwoComponentProblem, component_facts, enumerate_refined_strata, fiber_dim_bound
-from .strata import refuse_strata_over_budget
+from .strata import enumerate_refined_strata, refuse_strata_over_budget
 
 
 class InvalidRequest(ValueError):
@@ -128,28 +127,33 @@ def _cmd_strata(params: dict):
     if r > d:
         raise InvalidRequest("need r <= d")
     with_problem = params.get("gy") is not None or params.get("gz") is not None
-    two = None
     if with_problem:
         gy = _get_int(params, "gy", 0)
         gz = _get_int(params, "gz", 0)
         glued = _build_problem({**params, "g": gy + gz})
-        two = TwoComponentProblem(gy, gz, r, d, glued.alpha1, glued.alpha2)
+        alpha1, alpha2 = glued.alpha1.entries, glued.alpha2.entries
+        glued_rho = rho(glued)
+    else:
+        for key in ("alpha1", "alpha2"):
+            if params.get(key) is not None:
+                raise InvalidRequest(f"'{key}' needs the component genera 'gy' and 'gz'")
     refuse_strata_over_budget(r, d)
+    # refined strata only: fiber_bound is 0, and the node sequences sum to (r+1)(d-r),
+    # so expected_dim is glued_rho
     strata = []
-    for s in enumerate_refined_strata(r, d):
-        entry = {
-            "alpha_y": list(s.alpha_y.entries),
-            "alpha_z": list(s.alpha_z.entries),
-            "refined": s.refined,
-            "fiber_bound": fiber_dim_bound(s),
-        }
-        if two is not None:
-            entry["expected_dim"], entry["y_nonempty"], entry["z_nonempty"] = component_facts(two, s)
+    nonempty = False
+    for alpha_y, alpha_z in enumerate_refined_strata(r, d):
+        entry = {"alpha_y": list(alpha_y), "alpha_z": list(alpha_z), "refined": True, "fiber_bound": 0}
+        if with_problem:
+            y_ok = criterion_excess(gy, r, d, alpha1, alpha_y) <= gy
+            z_ok = criterion_excess(gz, r, d, alpha_z, alpha2) <= gz
+            entry["expected_dim"], entry["y_nonempty"], entry["z_nonempty"] = glued_rho, y_ok, z_ok
+            nonempty = nonempty or (y_ok and z_ok)
         strata.append(entry)
     payload = {"r": r, "d": d, "count": len(strata), "strata": strata}
-    if two is not None:
-        payload["glued_rho"] = rho(glued)
-        payload["nonempty"] = any(e["y_nonempty"] and e["z_nonempty"] for e in strata)
+    if with_problem:
+        payload["glued_rho"] = glued_rho
+        payload["nonempty"] = nonempty
     return "ok", payload
 
 

@@ -75,8 +75,8 @@ class _Seq:
     d: int
 
     # written out rather than generated: the generated one would set both
-    # fields, call __post_init__ and have it set them again, and strata scans
-    # build two sequences per stratum
+    # fields, call __post_init__ and have it set them again, and scans such as
+    # all_ram_seqs build one sequence per item
     def __init__(self, entries, d):
         entries = tuple(map(int, entries))
         d = int(d)

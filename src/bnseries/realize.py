@@ -124,14 +124,15 @@ def classify_g1_vanishing(bundle: LineBundleDescriptor, at: int) -> VanishingSeq
 
     Encodes the generic-position dichotomy: 0..d-1 in general, and
     0..d-2, d exactly when the bundle is O(d P) at the chosen point
-    (a = d at point 1, a = 0 at point 2).
+    (a = d at point 1, a = 0 at point 2).  At d = 0 that is (0,) for O,
+    the constant section; a generic degree-0 bundle has no sections.
     """
     if at not in (1, 2):
         raise ValueError("marked point must be 1 or 2")
     d = bundle.d
-    if d < 1:
-        raise ValueError("classification needs d >= 1")
     concentrated = (bundle.a == d) if at == 1 else (bundle.a == 0)
+    if d == 0 and not concentrated:
+        raise ValueError("a generic degree-0 bundle has no sections")
     if concentrated:
         entries = tuple(range(d - 1)) + (d,)
     else:

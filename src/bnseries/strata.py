@@ -12,20 +12,21 @@ nonemptiness oracle applied to each component.
 
 A ``Stratum`` computes its node gaps once, when it is built: the
 compatibility check, ``refined`` and ``fiber_dim_bound`` all read that one
-pass.  ``component_facts`` reads a stratum's expected dimension and the
-criterion on both components off the entry tuples, so a scan builds two
-validated sequences and one ``Stratum`` per stratum and no ``BNProblem``.
+pass.  ``enumerate_refined_strata`` yields entry tuples, not ``Stratum``s, so
+a scan validates no sequence per stratum.  On a refined stratum ``refined``
+is true, ``fiber_dim_bound`` is 0 and ``stratum_expected_dim`` is the rho of
+the glued problem (the node sequences sum to (r + 1)(d - r)); the ``strata``
+command emits those invariants without computing them.
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 from math import comb
 from typing import Callable, Iterator
 
 from .core import (
     BNProblem,
     RamSeq,
-    all_ram_seqs,
-    criterion_excess,
     gaps,
     refuse_over_budget,
     rho_from_totals,
@@ -79,10 +80,17 @@ class Stratum:
         return self._excess == 0
 
 
-def enumerate_refined_strata(r: int, d: int) -> Iterator[Stratum]:
-    """All C(d+1, r+1) refined strata for the (r, d) context."""
-    for alpha_y in all_ram_seqs(r, d):
-        yield Stratum(alpha_y, refined_complement(alpha_y))
+def enumerate_refined_strata(r: int, d: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All C(d+1, r+1) refined strata for the (r, d) context, as entry tuples.
+
+    Yields ``(alpha_y, alpha_z)`` with ``alpha_y`` in the order of
+    ``all_ram_seqs`` and ``alpha_z`` its refined complement.  Nothing is
+    validated; ``Stratum(RamSeq(alpha_y, d), RamSeq(alpha_z, d))`` is the
+    object form.
+    """
+    bound = d - r
+    for alpha_y in combinations_with_replacement(range(bound + 1), r + 1):
+        yield alpha_y, complement_entries(alpha_y, bound)
 
 
 def refuse_strata_over_budget(r: int, d: int) -> None:
@@ -149,19 +157,6 @@ def stratum_expected_dim(p: TwoComponentProblem, s: Stratum) -> int:
     )
 
 
-def component_facts(p: TwoComponentProblem, s: Stratum) -> tuple[int, bool, bool]:
-    """stratum_expected_dim and nonempty_criterion of each of the component_problems.
-
-    The answers are read off the entry tuples; no component problem is built.
-    """
-    r, d, g_y, g_z = p.r, p.d, p.g_y, p.g_z
-    return (
-        stratum_expected_dim(p, s),
-        criterion_excess(g_y, r, d, p.alpha1.entries, s.alpha_y.entries) <= g_y,
-        criterion_excess(g_z, r, d, s.alpha_z.entries, p.alpha2.entries) <= g_z,
-    )
-
-
 def eh_nonempty_two_component(
     p: TwoComponentProblem,
     base_oracle: Callable[[BNProblem], bool],
@@ -173,8 +168,8 @@ def eh_nonempty_two_component(
     scan over the enumeration budget is refused before the first stratum.
     """
     refuse_strata_over_budget(p.r, p.d)
-    for s in enumerate_refined_strata(p.r, p.d):
-        p_y, p_z = component_problems(p, s)
+    for alpha_y, alpha_z in enumerate_refined_strata(p.r, p.d):
+        p_y, p_z = component_problems(p, Stratum(RamSeq(alpha_y, p.d), RamSeq(alpha_z, p.d)))
         if base_oracle(p_y) and base_oracle(p_z):
             return True
     return False

@@ -7,6 +7,7 @@ from contextlib import contextmanager
 from itertools import combinations, product
 
 from bnseries import (
+    RamSeq,
     Stratum,
     TwoComponentProblem,
     VanishingSeq,
@@ -106,7 +107,8 @@ def test_criterion_3_stratum_bookkeeping():
                             assert (
                                 stratum_expected_dim(p, s) + fiber_dim_bound(s) == target
                             ), (p, s)
-        for s in enumerate_refined_strata(2, 6):
+        for alpha_y, alpha_z in enumerate_refined_strata(2, 6):
+            s = Stratum(RamSeq(alpha_y, 6), RamSeq(alpha_z, 6))
             assert fiber_dim_bound(s) == 0 and s.refined
 
 

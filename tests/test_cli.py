@@ -112,6 +112,37 @@ def test_strata_command():
     assert witness["y_nonempty"] and witness["z_nonempty"]
 
 
+@pytest.mark.parametrize("key", ["alpha1", "alpha2"])
+def test_strata_marked_ramification_needs_the_component_genera(key):
+    # refused even when the sequence itself is invalid, rather than ignored
+    for value in ([5, 5, 5], [0, 1]):
+        response, code = run({"command": "strata", "params": {"r": 1, "d": 2, key: value}})
+        assert code == 1
+        assert response["diagnostics"] == [f"'{key}' needs the component genera 'gy' and 'gz'"]
+
+
+def test_main_strata_marked_ramification_needs_the_component_genera(capsys):
+    assert main(["strata", "--r", "1", "--d", "2", "--alpha1", "0,1"]) == 1
+    response = json.loads(capsys.readouterr().out)
+    assert response["diagnostics"] == ["'alpha1' needs the component genera 'gy' and 'gz'"]
+    assert main(["strata", "--r", "1", "--d", "2", "--alpha1", "0,1", "--gy", "0", "--gz", "1"]) == 0
+
+
+def test_realize_genus_1_at_degree_0_is_the_constant_section(capsys):
+    # O is the one degree-0 bundle with a section, vanishing to order 0 at both points
+    assert main(["check", "--g", "1", "--r", "0", "--d", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["nonempty"]
+    assert main(["realize", "--genus", "1", "--r", "0", "--d", "0", "--a1", "0", "--a2", "0"]) == 0
+    response = json.loads(capsys.readouterr().out)
+    assert response["status"] == "ok"
+    assert response["payload"] == {
+        "genus": 1,
+        "descriptor": {"kind": "special", "a": 0, "d": 0},
+        "vanishing_p1": [0],
+        "vanishing_p2": [0],
+    }
+
+
 def test_realize_commands():
     response, code = run(
         {"command": "realize", "params": {"genus": 0, "r": 1, "d": 3, "a1": "0,2", "a2": "0,1"}}

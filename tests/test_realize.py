@@ -94,6 +94,11 @@ def test_classify_g1_vanishing():
     assert classify_g1_vanishing(special_bundle(3, 0), 1).entries == (0, 1, 2)
     assert classify_g1_vanishing(special_bundle(3, 0), 2).entries == (0, 1, 3)
     assert classify_g1_vanishing(special_bundle(3, 3), 2).entries == (0, 1, 2)
+    # degree 0: only O has a section, the constant one
+    assert classify_g1_vanishing(special_bundle(0, 0), 1).entries == (0,)
+    assert classify_g1_vanishing(special_bundle(0, 0), 2).entries == (0,)
+    with pytest.raises(ValueError, match="no sections"):
+        classify_g1_vanishing(generic_bundle(0), 1)
     for d in range(1, 7):
         for bundle in [generic_bundle(d)] + [special_bundle(d, a) for a in range(d + 1)]:
             for at in (1, 2):

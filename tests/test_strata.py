@@ -57,9 +57,18 @@ def test_refined_strata_counts():
         for r in range(0, min(2, d) + 1):
             strata = list(enumerate_refined_strata(r, d))
             assert len(strata) == math.comb(d + 1, r + 1)
-            for s in strata:
+            for alpha_y, alpha_z in strata:
+                s = Stratum(RamSeq(alpha_y, d), RamSeq(alpha_z, d))
                 assert s.refined
                 assert fiber_dim_bound(s) == 0
+
+
+def test_enumerate_refined_strata_yields_complementary_entry_tuples():
+    for d in range(9):
+        for r in range(min(3, d) + 1):
+            assert list(enumerate_refined_strata(r, d)) == [
+                (a.entries, refined_complement(a).entries) for a in all_ram_seqs(r, d)
+            ]
 
 
 def test_fiber_bound_examples():
@@ -95,7 +104,8 @@ def test_stratum_expected_dim_example():
 def test_stratum_expected_dim_degenerate_range():
     # d = r: the zero pair is the only stratum and everything is rigid
     p = TwoComponentProblem(0, 0, 2, 2, zero_ram(2, 2), zero_ram(2, 2))
-    (s,) = enumerate_refined_strata(2, 2)
+    ((alpha_y, alpha_z),) = enumerate_refined_strata(2, 2)
+    s = Stratum(RamSeq(alpha_y, 2), RamSeq(alpha_z, 2))
     assert stratum_expected_dim(p, s) == 0
 
 
@@ -219,8 +229,8 @@ def test_strata_payload_matches_the_object_api():
 
 
 def test_strata_scan_work_counts(monkeypatch):
-    # Counts, not timings: each stratum validates its two node sequences and
-    # builds no BNProblem, so the rebuilds the scan once made cannot return.
+    # Counts, not timings: the scan reads entry tuples, so no stratum builds a
+    # sequence, a Stratum or a BNProblem, and the rebuilds it once made cannot return.
     built = Counter()
 
     def count(cls, method):
@@ -234,14 +244,16 @@ def test_strata_scan_work_counts(monkeypatch):
 
     count(core._Seq, "__init__")
     count(BNProblem, "__post_init__")
+    count(Stratum, "__post_init__")
     params = {"r": 4, "d": 10, "gy": 1, "gz": 2, "alpha1": [0, 0, 1, 1, 2], "alpha2": [0, 1, 1, 2, 2]}
     response, code = run({"command": "strata", "params": params})
     assert code == 0
     strata = response["payload"]["count"]
     assert strata == math.comb(11, 5)
-    # the request's alpha1 and alpha2 are the only other sequences
-    assert built["_Seq"] <= 2 * strata + 2
-    # the glued problem, parsed once; TwoComponentProblem checks it without building it
+    # the request's alpha1 and alpha2 are the only sequences
+    assert built["_Seq"] <= 2
+    assert built["Stratum"] == 0
+    # the glued problem, parsed once
     assert built["BNProblem"] == 1
 
 
