@@ -75,19 +75,19 @@ def _parse_seq(value, what: str) -> tuple[int, ...]:
         raise InvalidRequest(f"{what} must contain integers: {exc}") from exc
 
 
-def _get_int(params: dict, key: str, minimum: int | None = None) -> int:
+def _get_int(params: dict, key: str) -> int:
     if key not in params or params[key] is None:
         raise InvalidRequest(f"missing required parameter '{key}'")
     value = params[key]
     if type(value) is not int:  # bool, float and integer strings too; flags arrive as int
         raise InvalidRequest(f"parameter '{key}' must be an integer")
-    if minimum is not None and value < minimum:
-        raise InvalidRequest(f"parameter '{key}' must be >= {minimum}")
+    if value < 0:  # every integer parameter is nonnegative
+        raise InvalidRequest(f"parameter '{key}' must be >= 0")
     return value
 
 
 def _build_problem(params: dict) -> BNProblem:
-    g, r, d = (_get_int(params, key, 0) for key in ("g", "r", "d"))
+    g, r, d = (_get_int(params, key) for key in ("g", "r", "d"))
     alpha1, alpha2 = (
         None if params.get(key) is None else _parse_seq(params[key], key) for key in ("alpha1", "alpha2")
     )
@@ -122,14 +122,14 @@ def _cmd_check(params: dict):
 
 
 def _cmd_strata(params: dict):
-    r = _get_int(params, "r", 0)
-    d = _get_int(params, "d", 0)
+    r = _get_int(params, "r")
+    d = _get_int(params, "d")
     if r > d:
         raise InvalidRequest("need r <= d")
     with_problem = params.get("gy") is not None or params.get("gz") is not None
     if with_problem:
-        gy = _get_int(params, "gy", 0)
-        gz = _get_int(params, "gz", 0)
+        gy = _get_int(params, "gy")
+        gz = _get_int(params, "gz")
         glued = _build_problem({**params, "g": gy + gz})
         alpha1, alpha2 = glued.alpha1.entries, glued.alpha2.entries
         glued_rho = rho(glued)
@@ -178,9 +178,9 @@ def _cmd_chain(params: dict):
 
 
 def _cmd_realize(params: dict):
-    genus = _get_int(params, "genus", 0)
-    r = _get_int(params, "r", 0)
-    d = _get_int(params, "d", 0)
+    genus = _get_int(params, "genus")
+    r = _get_int(params, "r")
+    d = _get_int(params, "d")
     if genus not in (0, 1):
         raise InvalidRequest("realize supports genus 0 or 1")
     if r > d:
@@ -218,10 +218,10 @@ def _cmd_realize(params: dict):
 
 
 def _cmd_oracle_verify(params: dict):
-    genus = _get_int(params, "genus", 0)
+    genus = _get_int(params, "genus")
     if genus == 0:
-        r = _get_int(params, "r", 0)
-        d = _get_int(params, "d", 0)
+        r = _get_int(params, "r")
+        d = _get_int(params, "d")
         if r > d:
             raise InvalidRequest("need r <= d")
         a1 = _vanishing(params, "a1", r, d)
@@ -302,9 +302,9 @@ def iter_sweep(params: dict) -> Iterator[dict]:
     nonempty ``chain`` point builds its BNProblem.  Its chain is built on the
     chains of the previous genus layer, which is all that is kept of them.
     """
-    g_max = _get_int(params, "g_max", 0)
-    r_max = _get_int(params, "r_max", 0)
-    d_max = _get_int(params, "d_max", 0)
+    g_max = _get_int(params, "g_max")
+    r_max = _get_int(params, "r_max")
+    d_max = _get_int(params, "d_max")
     command = params.get("command", "check")
     if command not in ("check", "chain"):
         raise InvalidRequest("sweep command must be 'check' or 'chain'")

@@ -2,8 +2,11 @@
 
 Elements are the integers 0..q-1.  For prime q this is arithmetic mod q; for
 q = 4 the two bits are the coefficients of a polynomial over F2 reduced mod
-x^2 + x + 1.  Operations are table lookups, which keeps the subspace
-enumeration loops cheap.
+x^2 + x + 1.  Operations are table lookups.  They serve lead_positions
+(realize's pivot routine, over any field object with the same operations)
+and, with rref_matrices, the brute-force enumeration that the oracle's
+histograms are tested against; the oracle itself counts without field
+arithmetic.  gaussian_binomial sizes the oracle's budget.
 """
 
 from functools import lru_cache
@@ -106,30 +109,6 @@ def rref_matrices(q: int, n: int, k: int) -> Iterator[tuple[tuple[int, ...], lis
             for (i, j), v in zip(free, values):
                 rows[i][j] = v
             yield pivots, rows
-
-
-def echelon_insert(field: GF, basis: dict[int, list[int]], vec: list[int]) -> bool:
-    """Add vec to an echelon basis, in place; True when it was independent.
-
-    ``basis`` maps each pivot column to its row: the row's first nonzero
-    entry is a 1 in that column.  vec is reduced against the rows in column
-    order; a nonzero remainder joins the basis, scaled to a leading 1.
-    """
-    add, mul = field.add_table, field.mul_table
-    vec = vec[:]
-    for c, x in enumerate(vec):
-        if x == 0:
-            continue
-        row = basis.get(c)
-        if row is None:
-            scale = mul[field.inv_table[x]]
-            basis[c] = [scale[v] for v in vec]
-            return True
-        minus = mul[field.neg_table[x]]
-        for j in range(c, len(vec)):
-            if row[j]:
-                vec[j] = add[vec[j]][minus[row[j]]]
-    return False
 
 
 def lead_positions(field: GF, rows: list[list[int]], col_order: list[int]) -> list[int]:

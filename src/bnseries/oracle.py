@@ -11,10 +11,10 @@ Two ingredients:
   vanishing orders, and both flags become spans of coordinate vectors.
 
 * Point counting.  Subspaces with prescribed vanishing against both flags
-  are counted exactly over F_q for q in gf.FIELDS, by plain linear algebra:
-  the canonical bases are enumerated without their first row, and the
-  choices of that row are counted per flag-2 lead from ranks of one
-  incremental elimination.  The dimension of the locus is read off from the
+  are counted exactly over F_q for q in gf.FIELDS, cell by cell: the
+  choices of each row of a canonical basis are counted from the pivots and
+  flag-2 leads of the rows below it, so nothing is enumerated and no field
+  arithmetic is done.  The dimension of the locus is read off from the
   exact polynomial growth of the counts in q.
 
 The elliptic model supplies the genus-1 generality certificate: a concrete
@@ -31,7 +31,7 @@ from importlib import resources
 
 from .core import BNProblem, VanishingSeq, refuse_over_budget, to_vanishing
 from .elliptic import discriminant, ec_add, ec_neg, is_on_curve, is_prime, point_order
-from .gf import FIELDS, echelon_insert, gaussian_binomial, gf, rref_matrices
+from .gf import FIELDS, gaussian_binomial, gf
 from .realize import LineBundleDescriptor, generic_bundle, special_bundle
 
 class NoFit(RuntimeError):
@@ -54,8 +54,8 @@ class FlagProfile:
     def __post_init__(self):
         object.__setattr__(self, "h", tuple(tuple(row) for row in self.h))
         n, h = self.n, self.h
-        if n < 1:
-            raise ValueError("profile dimension must be >= 1")
+        if n < 0:
+            raise ValueError("profile dimension must be >= 0")
         if len(h) != n + 1 or any(len(row) != n + 1 for row in h):
             raise ValueError(f"profile table must be {n + 1} x {n + 1}")
         if h[0][0] != n:
@@ -82,36 +82,27 @@ def profile_complementary(n: int) -> FlagProfile:
 
 
 def profile_g1(bundle: LineBundleDescriptor, diff_order: int | None = None) -> FlagProfile:
-    """Genus-1 profile h(k1, k2) = h^0(L - k1 P1 - k2 P2), with n = d.
+    """Genus-1 profile h(k1, k2) = h^0(L - k1 P1 - k2 P2), with n = h^0(L).
 
     The degree-e = d - k1 - k2 twist has h^0 = e for e >= 1 and 0 for e < 0.
     At e = 0 the space is one-dimensional exactly when the twist is the
     trivial class, i.e. when (a - k1)(P1 - P2) vanishes in the Jacobian:
     with ``diff_order = None`` (points in general position) this needs
-    a = k1; a finite ``diff_order`` t relaxes it to a = k1 mod t.
+    a = k1; a finite ``diff_order`` t relaxes it to a = k1 mod t.  So n = d
+    for d >= 1, and at d = 0 n is 1 for O and 0 for a generic bundle.
     """
-    d = bundle.d
-    if d < 1:
-        raise ValueError("profile needs d >= 1")
     if diff_order is not None and diff_order < 1:
         raise ValueError("diff_order must be a positive integer")
-    rows = []
-    for k1 in range(d + 1):
-        row = []
-        for k2 in range(d + 1):
-            e = d - k1 - k2
-            if e >= 1:
-                row.append(e)
-            elif e < 0:
-                row.append(0)
-            elif bundle.a is None:
-                row.append(0)
-            else:
-                delta = bundle.a - k1
-                trivial = delta == 0 if diff_order is None else delta % diff_order == 0
-                row.append(1 if trivial else 0)
-        rows.append(tuple(row))
-    return FlagProfile(d, tuple(rows))
+    d, a = bundle.d, bundle.a
+
+    def h0(k1, k2):
+        e = d - k1 - k2
+        if e or a is None:
+            return e if e > 0 else 0
+        return int(a == k1 if diff_order is None else (a - k1) % diff_order == 0)
+
+    n = h0(0, 0)
+    return FlagProfile(n, [[h0(k1, k2) for k2 in range(n + 1)] for k1 in range(n + 1)])
 
 
 def basis_orders(profile: FlagProfile) -> tuple[tuple[int, int], ...]:
@@ -153,63 +144,53 @@ _HIST_CACHE: dict = {}  # joint tallies of vanishing-sequence pairs, by (q, prof
 
 
 def _rank_count_histogram(q: int, profile: FlagProfile, k: int) -> dict:
-    """The histogram by rank counting.
+    """The histogram, counted row by row from the leads of the rows below.
 
     Columns are taken in flag-1 order, so the pivots p0 < ... < p_{k-1} of a
     subspace's reduced echelon basis give its flag-1 sequence.  Rows 1..k-1
-    span a (k-1)-subspace W of the columns after p0, and these are
-    enumerated.  Row 0 ranges over the affine space a + L (a = e_{p0}, L
-    spanned by its free columns) and is counted instead: with C_t spanned by
-    the columns at flag-2 positions >= t and U_t = W + C_t, the subspace has
-    a flag-2 lead at position >= t outside W's leads exactly when row 0 lies
-    in U_t.  That holds for q^dim(L & U_t) choices of row 0 when a is in
-    L + U_t, and for none otherwise.  One sweep t = n-1 .. 0 grows echelon
-    bases of U_t, L + U_t and L + U_t + a; the differences of the counts
-    tally row 0's lead, and W's own leads are the positions where U_t does
-    not grow.
+    span a (k-1)-subspace W of the columns after p0, with flag-2 lead
+    positions T; call a position open when its column lies after p0 and it
+    is not in T.  Row 0 ranges over e_{p0} + L, L spanned by the free
+    columns after p0, and adds one lead t to T.  With C_t spanned by the
+    columns at flag-2 positions >= t and U_t = W + C_t, that lead is >= t
+    exactly when row 0 lies in U_t.  As L + W spans every column after p0,
+    this holds for q^dim(L & U_t) choices when pos2(p0) >= t and for none
+    otherwise, and dim(L & U_t) is the number of open positions >= t.  So
+    with f open positions above t, t = pos2(p0) takes q^f choices, an open
+    t < pos2(p0) takes (q - 1) q^f, and no other t takes any.  The count
+    depends on W only through its pivots and T, so W is counted the same
+    way, memoised by its first column s and rank m.
     """
     n = profile.n
     orders = basis_orders(profile)
     by1 = sorted(range(n), key=lambda i: orders[i][0])
     o1_of_col = [orders[i][0] for i in by1]
     o2_of_col = [orders[i][1] for i in by1]
-    cols_by_o2 = sorted(range(n), key=lambda pos: o2_of_col[pos])
-    o2_at = [o2_of_col[c] for c in cols_by_o2]
-    unit = [[int(j == c) for j in range(n)] for c in range(n)]
-    field = gf(q)
-    hist: dict = {}
-    for p0 in range(n - k + 1):
-        before = [0] * (p0 + 1)
-        for w_pivots, w_rows in rref_matrices(q, n - 1 - p0, k - 1):
-            pivots = (p0,) + tuple(p0 + 1 + c for c in w_pivots)
-            b1 = tuple(o1_of_col[c] for c in pivots)
-            u = {c: before + row for c, row in zip(pivots[1:], w_rows)}
-            free = [c for c in range(p0 + 1, n) if c not in pivots]
-            lu = dict(u)
-            for c in free:
-                echelon_insert(field, lu, unit[c])
-            lua = dict(lu)
-            echelon_insert(field, lua, unit[p0])
-            everything = q ** len(free)  # the number of choices of row 0
-            w_leads = []
-            row0_leads = []  # (t, number of row-0 choices whose lead is t)
-            above = 0  # row-0 choices with lead > t
-            for t in range(n - 1, -1, -1):
-                e = unit[cols_by_o2[t]]
-                if not echelon_insert(field, u, e):
-                    w_leads.append(t)
-                echelon_insert(field, lu, e)
-                echelon_insert(field, lua, e)
-                at_least = q ** (len(free) + len(u) - len(lu)) if len(lua) == len(lu) else 0
-                if at_least != above:
-                    row0_leads.append((t, at_least - above))
-                    above = at_least
-                if above == everything and len(w_leads) == k - 1:
-                    break  # every lead is placed
-            for t, mult in row0_leads:
-                b2 = tuple(o2_at[pos] for pos in sorted(w_leads + [t]))
-                pair = (b1, b2)
-                hist[pair] = hist.get(pair, 0) + mult
+    cols_by_o2 = sorted(range(n), key=lambda c: o2_of_col[c])
+
+    @lru_cache(maxsize=None)
+    def tallies(s, m):
+        """{(flag-1 orders of the pivots, bitmask of flag-2 lead positions): count}."""
+        if m == 0:
+            return {((), 0): 1}
+        out = {}
+        for p0 in range(s, n - m + 1):
+            top = cols_by_o2.index(p0)
+            after = [t for t in range(n - 1, -1, -1) if cols_by_o2[t] > p0]
+            for (b1, leads), mult in tallies(p0 + 1, m - 1).items():
+                opened = [t for t in after if not leads >> t & 1]  # descending
+                above = sum(t > top for t in opened)
+                choices = [(top, q**above)]
+                choices += [(t, (q - 1) * q**f) for f, t in enumerate(opened[above:], above)]
+                for t, ways in choices:
+                    key = ((o1_of_col[p0],) + b1, leads | 1 << t)
+                    out[key] = out.get(key, 0) + mult * ways
+        return out
+
+    hist = {}
+    for (b1, leads), mult in tallies(0, k).items():
+        b2 = tuple(o2_of_col[c] for t, c in enumerate(cols_by_o2) if leads >> t & 1)
+        hist[b1, b2] = hist.get((b1, b2), 0) + mult
     return hist
 
 
@@ -217,12 +198,13 @@ def count_series(q, profile: FlagProfile, r, a1, a2) -> int:
     """Number of (r+1)-subspaces of F_q^n with vanishing >= a1, a2 at the flags.
 
     q must be in gf.FIELDS.  A subspace qualifies when its vanishing sequence
-    against flag i dominates a_i componentwise.  Counting is by rank
-    computations over F_q (see _rank_count_histogram): canonical bases are
-    enumerated without their first row, whose choices are counted.  A hard
-    budget (BN_ENUM_BUDGET, default 10^7 subspaces) caps
-    gaussian_binomial(n, r + 1, q) and raises InfeasibleSize beyond it, cached
-    histogram or not.
+    against flag i dominates a_i componentwise.  The counts come from a
+    histogram of (flag-1, flag-2) sequence pairs, cached by (q, profile
+    table, r + 1) and counted row by row (see _rank_count_histogram), with
+    no subspace enumerated.  The budget (BN_ENUM_BUDGET, default 10^7
+    subspaces) is a policy on the size of the count, not on work done: it
+    caps gaussian_binomial(n, r + 1, q) and raises InfeasibleSize beyond
+    it, cached histogram or not.
     """
     gf(q)  # rejects an unsupported field size
     n = profile.n
@@ -384,15 +366,15 @@ def ec_descriptor_scan(m: EllipticModel, p: BNProblem) -> dict:
 
     Uses the model's actual difference order, so a torsion pair makes
     coinciding special bundles (and their degenerate loci) visible.  Every
-    profile has n = d, so an over-budget request is refused before any is
-    built.
+    profile has n = h^0(L) <= max(d, 1) (n = d for d >= 1), so an
+    over-budget request is refused before any is built.
     """
     if p.g != 1:
         raise ValueError("the descriptor scan is a genus-1 oracle")
     order = m.order_diff
     if order < 2:
         raise ValueError("marked points must be distinct (ord(P1 - P2) >= 2)")
-    refuse_subspaces_over_budget(p.d, p.r + 1)
+    refuse_subspaces_over_budget(max(p.d, 1), p.r + 1)
     a1 = to_vanishing(p.alpha1).entries
     a2 = to_vanishing(p.alpha2).entries
     report = {"order_diff": order, "descriptors": []}
@@ -422,7 +404,7 @@ def ec_g1_nonempty(m: EllipticModel, p: BNProblem) -> bool:
 
 
 @lru_cache(maxsize=None)
-def load_fixture(name: str = "general") -> EllipticModel:
+def load_fixture(name: str) -> EllipticModel:
     """Load a frozen curve model from the versioned fixture file.
 
     Models are cached by name; an unknown name raises KeyError on every call.

@@ -7,6 +7,7 @@ from contextlib import contextmanager
 from itertools import combinations, product
 
 from bnseries import (
+    BNProblem,
     RamSeq,
     Stratum,
     TwoComponentProblem,
@@ -18,6 +19,7 @@ from bnseries import (
     dim_fit,
     ec_g1_nonempty,
     eh_compatible,
+    eh_nonempty_two_component,
     enumerate_refined_strata,
     fiber_dim_bound,
     load_fixture,
@@ -233,3 +235,53 @@ def test_criterion_7_known_value_spot_checks():
                     direct = sum(p.d - a1[j] - a2[r - j] for j in range(r + 1))
                     if expected is not None:
                         assert expected == direct == rho(p)
+
+
+def test_criterion_8_chain_components_pass_the_genus1_oracle():
+    # the formula certifies each chain component; here the brute-force oracle does
+    with report(8, "genus-1 chain components nonempty by the oracle (g=2..8, r<=2, d<=5)"):
+        general = load_fixture("general")
+        assert ec_order_diff(general) > 5
+        chains = 0
+        components = set()
+        for g in range(2, 9):
+            for d in range(6):
+                for r in range(0, min(2, d) + 1):
+                    for p in all_problems(g, r, d):
+                        if nonempty_criterion(p):
+                            chains += 1
+                            for c in build_chain(p).components:
+                                components.add(BNProblem(c.genus, r, d, c.left_ram, c.right_ram))
+        assert chains == 721
+        assert {c.g for c in components} == {1}
+        for c in components:
+            assert ec_g1_nonempty(general, c), c
+
+
+def test_criterion_9_two_component_scan_with_oracle_base_cases():
+    # the g = 2 criterion decided through the degeneration, with brute-force base cases
+    with report(9, "two-component scan on oracle base cases (gy,gz<=1, r<=2, d<=5)"):
+        general = load_fixture("general")
+        decided = {}
+
+        def base_oracle(p):
+            if p not in decided:
+                if p.g == 0:
+                    a1, a2 = to_vanishing(p.alpha1).entries, to_vanishing(p.alpha2).entries
+                    counts = series_counts(profile_complementary(p.d + 1), p.r, a1, a2)
+                    decided[p] = any(n > 0 for _, n in counts)
+                else:
+                    decided[p] = ec_g1_nonempty(general, p)
+            return decided[p]
+
+        problems = 0
+        for d in range(6):
+            for r in range(0, min(2, d) + 1):
+                seqs = list(all_ram_seqs(r, d))
+                for gy, gz in product(range(2), repeat=2):
+                    for a1, a2 in product(seqs, repeat=2):
+                        p = TwoComponentProblem(gy, gz, r, d, a1, a2)
+                        problems += 1
+                        expected = nonempty_criterion(glued_problem(p))
+                        assert eh_nonempty_two_component(p, base_oracle) == expected, p
+        assert problems == 3916

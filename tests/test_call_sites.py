@@ -69,9 +69,7 @@ def test_sweep_splits_once_per_nonempty_point_of_genus_two_or_more(monkeypatch):
 def test_oracle_counts_three_fields_per_profile(params, calls, monkeypatch):
     monkeypatch.setattr(oracle, "_HIST_CACHE", {})
     counted = _count_calls(monkeypatch, oracle, "count_series")
-    subspaces = _count_yields(monkeypatch, oracle, "rref_matrices")
     response, code = run({"command": "oracle-verify", "params": params})
     assert code == 0, response
     assert len(counted) == calls
     assert [args[0] for args in counted] == [2, 3, 4] * (calls // 3)
-    assert subspaces  # a cold histogram enumerates through gf.rref_matrices

@@ -143,6 +143,22 @@ def test_realize_genus_1_at_degree_0_is_the_constant_section(capsys):
     }
 
 
+def test_oracle_verify_genus_1_at_degree_0_agrees_with_check(capsys):
+    # h^0(O) = 1 at d = 0: one point over every field, a generic bundle has none
+    assert main(["check", "--g", "1", "--r", "0", "--d", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["nonempty"]
+    argv = ["oracle-verify", "--genus", "1", "--r", "0", "--d", "0", "--alpha1", "0", "--alpha2", "0"]
+    assert main(argv) == 0
+    response = json.loads(capsys.readouterr().out)
+    assert response["status"] == "ok"
+    payload = response["payload"]
+    assert payload["criterion"] and payload["oracle_nonempty"] and payload["agree"]
+    assert payload["descriptors"] == [
+        {"bundle": "generic", "counts": [[2, 0], [3, 0], [4, 0]], "dim": None, "nonempty": False},
+        {"bundle": "special(0)", "counts": [[2, 1], [3, 1], [4, 1]], "dim": 0, "nonempty": True},
+    ]
+
+
 def test_realize_commands():
     response, code = run(
         {"command": "realize", "params": {"genus": 0, "r": 1, "d": 3, "a1": "0,2", "a2": "0,1"}}

@@ -19,7 +19,7 @@ from bnseries import (
     profile_g1,
 )
 from bnseries import oracle
-from bnseries.gf import gaussian_binomial, gf, lead_positions, rref_matrices
+from bnseries.gf import FIELDS, gaussian_binomial, gf, lead_positions, rref_matrices
 from bnseries.oracle import all_descriptors, basis_orders, ec_descriptor_scan, series_counts
 from bnseries.realize import generic_bundle, special_bundle
 
@@ -62,8 +62,9 @@ def test_emitted_profiles_are_realizable():
 
 
 def test_profile_g1_input_validation():
-    with pytest.raises(ValueError):
-        profile_g1(generic_bundle(0))
+    # at d = 0 only O has a section: n = h^0(L) is 1 for O and 0 otherwise
+    assert profile_g1(generic_bundle(0)) == FlagProfile(0, ((0,),))
+    assert profile_g1(special_bundle(0, 0)) == FlagProfile(1, ((1, 0), (0, 0)))
     with pytest.raises(ValueError):
         profile_g1(generic_bundle(3), diff_order=0)
 
@@ -183,6 +184,36 @@ def test_histogram_matches_enumeration(q):
                 pivots = [o1_sorted.index(o) for o in b1]
                 free = sum(n - 1 - p - (k - 1 - i) for i, p in enumerate(pivots))
                 assert mult == q**free, (q, prof.h, k, b1)
+
+
+def _marginal(hist, side):
+    tally = {}
+    for pair, mult in hist.items():
+        tally[pair[side]] = tally.get(pair[side], 0) + mult
+    return tally
+
+
+def _schubert_cell_size(q, n, orders_sorted, seq):
+    """q^free for the echelon cell whose pivots carry the vanishing orders seq."""
+    k = len(seq)
+    pivots = [orders_sorted.index(o) for o in seq]
+    return q ** sum(n - 1 - p - (k - 1 - i) for i, p in enumerate(pivots))
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_histogram_invariants_beyond_enumeration(q):
+    profiles = [profile_complementary(n) for n in range(6, 9)]
+    profiles += [profile_g1(b, diff_order=t) for b in all_descriptors(6) for t in (None, 2)]
+    for prof in profiles:
+        n = prof.n
+        orders = basis_orders(prof)
+        for k in range(1, 4):
+            hist = oracle._rank_count_histogram(q, prof, k)
+            assert sum(hist.values()) == gaussian_binomial(n, k, q), (q, prof.h, k)
+            for side in (0, 1):
+                sorted_orders = sorted(pair[side] for pair in orders)
+                for seq, mult in _marginal(hist, side).items():
+                    assert mult == _schubert_cell_size(q, n, sorted_orders, seq), (q, prof.h, k, side)
 
 
 def test_budget_refuses_before_counting_any_field(monkeypatch):
