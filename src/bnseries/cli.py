@@ -227,7 +227,7 @@ def _cmd_oracle_verify(params: dict):
         a1 = _vanishing(params, "a1", r, d)
         a2 = _vanishing(params, "a2", r, d)
         expected = richardson_dim(d, a1, a2)
-        refuse_subspaces_over_budget(d + 1, r + 1)
+        refuse_subspaces_over_budget(d + 1, r + 1, 1)
         profile = profile_complementary(d + 1)
         counts = [list(c) for c in series_counts(profile, r, a1.entries, a2.entries)]
         if expected is None:

@@ -75,6 +75,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of an n-dimensional space over F_q."""
     if k < 0 or k > n:
         return 0
+    k = min(k, n - k)  # the count is symmetric in k and n - k
     num = 1
     den = 1
     for i in range(k):

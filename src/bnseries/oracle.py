@@ -14,8 +14,13 @@ Two ingredients:
   are counted exactly over F_q for q in gf.FIELDS, cell by cell: the
   choices of each row of a canonical basis are counted from the pivots and
   flag-2 leads of the rows below it, so nothing is enumerated and no field
-  arithmetic is done.  The dimension of the locus is read off from the
-  exact polynomial growth of the counts in q.
+  arithmetic is done.  The histogram of (flag-1, flag-2) sequence pairs is
+  cached per (q, profile, rank) together with one slice per flag-1 bound
+  asked for: its entries that meet the bound, merged by flag-2 sequence, so
+  a repeated bound costs one scan of its slice.  The budget check still runs
+  on every call, before any cache lookup.  The dimension of the locus is
+  read off from the exact polynomial growth of the counts in q, fitted once
+  per distinct count vector.
 
 The elliptic model supplies the genus-1 generality certificate: a concrete
 curve over a prime field with marked points whose difference has known group
@@ -28,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from operator import ge
 
 from .core import BNProblem, VanishingSeq, refuse_over_budget, to_vanishing
 from .elliptic import discriminant, ec_add, ec_neg, is_on_curve, is_prime, point_order
@@ -113,14 +119,11 @@ def basis_orders(profile: FlagProfile) -> tuple[tuple[int, int], ...]:
     an actual pair of flags.
     """
     n = profile.n
-
-    def h(k1, k2):
-        return profile.h[k1][k2] if k1 <= n and k2 <= n else 0
-
+    rows = [row + (0,) for row in profile.h] + [(0,) * (n + 2)]  # h = 0 beyond n
     orders = []
-    for k1 in range(n + 1):
+    for k1, (row, below) in enumerate(zip(rows, rows[1:])):
         for k2 in range(n + 1):
-            mult = h(k1, k2) - h(k1 + 1, k2) - h(k1, k2 + 1) + h(k1 + 1, k2 + 1)
+            mult = row[k2] - below[k2] - row[k2 + 1] + below[k2 + 1]
             if mult < 0:
                 raise ValueError(f"profile not realizable: negative mass at ({k1}, {k2})")
             orders.extend([(k1, k2)] * mult)
@@ -129,18 +132,25 @@ def basis_orders(profile: FlagProfile) -> tuple[tuple[int, int], ...]:
     return tuple(orders)
 
 
-def refuse_subspaces_over_budget(n: int, k: int) -> None:
+def refuse_subspaces_over_budget(n: int, k: int, profiles: int = 0) -> None:
     """Raise InfeasibleSize for the first q in gf.FIELDS with too many k-subspaces of F_q^n.
 
     The check needs only (n, k), so a request is refused before any profile
     is built.  With k > n there is nothing to count and nothing is checked.
+    After it, the ``profiles`` tables of (n + 1)^2 entries that the request
+    will build are held against the budget too, k > n or not: when k >= n
+    there is at most one subspace, but building the tables still costs
+    work that grows with n.
     """
     if k <= n:
         for q in FIELDS:
             refuse_over_budget(gaussian_binomial(n, k, q), "subspaces")
+    if profiles:
+        refuse_over_budget(profiles * (n + 1) ** 2, "profile table entries")
 
 
-_HIST_CACHE: dict = {}  # joint tallies of vanishing-sequence pairs, by (q, profile table, k)
+# (joint tallies of vanishing-sequence pairs, {a1: slice}), by (q, profile table, k)
+_HIST_CACHE: dict = {}
 
 
 def _rank_count_histogram(q: int, profile: FlagProfile, k: int) -> dict:
@@ -159,7 +169,7 @@ def _rank_count_histogram(q: int, profile: FlagProfile, k: int) -> dict:
     with f open positions above t, t = pos2(p0) takes q^f choices, an open
     t < pos2(p0) takes (q - 1) q^f, and no other t takes any.  The count
     depends on W only through its pivots and T, so W is counted the same
-    way, memoised by its first column s and rank m.
+    way, tallied by its first column s one rank at a time.
     """
     n = profile.n
     orders = basis_orders(profile)
@@ -168,27 +178,29 @@ def _rank_count_histogram(q: int, profile: FlagProfile, k: int) -> dict:
     o2_of_col = [orders[i][1] for i in by1]
     cols_by_o2 = sorted(range(n), key=lambda c: o2_of_col[c])
 
-    @lru_cache(maxsize=None)
-    def tallies(s, m):
-        """{(flag-1 orders of the pivots, bitmask of flag-2 lead positions): count}."""
-        if m == 0:
-            return {((), 0): 1}
-        out = {}
-        for p0 in range(s, n - m + 1):
-            top = cols_by_o2.index(p0)
-            after = [t for t in range(n - 1, -1, -1) if cols_by_o2[t] > p0]
-            for (b1, leads), mult in tallies(p0 + 1, m - 1).items():
-                opened = [t for t in after if not leads >> t & 1]  # descending
-                above = sum(t > top for t in opened)
-                choices = [(top, q**above)]
-                choices += [(t, (q - 1) * q**f) for f, t in enumerate(opened[above:], above)]
-                for t, ways in choices:
-                    key = ((o1_of_col[p0],) + b1, leads | 1 << t)
-                    out[key] = out.get(key, 0) + mult * ways
-        return out
+    # tallies[s] at rank m: {(flag-1 orders of the pivots, bitmask of flag-2
+    # lead positions): count} over the m-subspaces with first pivot >= s.  It
+    # is built one rank at a time, for the s that the next rank reads; rank k
+    # needs s = 0 alone.
+    tallies = {s: {((), 0): 1} for s in range(k, n + 1)}
+    for m in range(1, k + 1):
+        below, tallies = tallies, {}
+        for s in range(k - m, (n - m if m < k else 0) + 1):
+            out = tallies[s] = {}
+            for p0 in range(s, n - m + 1):
+                top = cols_by_o2.index(p0)
+                after = [t for t in range(n - 1, -1, -1) if cols_by_o2[t] > p0]
+                for (b1, leads), mult in below[p0 + 1].items():
+                    opened = [t for t in after if not leads >> t & 1]  # descending
+                    above = sum(t > top for t in opened)
+                    choices = [(top, q**above)]
+                    choices += [(t, (q - 1) * q**f) for f, t in enumerate(opened[above:], above)]
+                    for t, ways in choices:
+                        key = ((o1_of_col[p0],) + b1, leads | 1 << t)
+                        out[key] = out.get(key, 0) + mult * ways
 
     hist = {}
-    for (b1, leads), mult in tallies(0, k).items():
+    for (b1, leads), mult in tallies[0].items():
         b2 = tuple(o2_of_col[c] for t, c in enumerate(cols_by_o2) if leads >> t & 1)
         hist[b1, b2] = hist.get((b1, b2), 0) + mult
     return hist
@@ -201,10 +213,13 @@ def count_series(q, profile: FlagProfile, r, a1, a2) -> int:
     against flag i dominates a_i componentwise.  The counts come from a
     histogram of (flag-1, flag-2) sequence pairs, cached by (q, profile
     table, r + 1) and counted row by row (see _rank_count_histogram), with
-    no subspace enumerated.  The budget (BN_ENUM_BUDGET, default 10^7
-    subspaces) is a policy on the size of the count, not on work done: it
-    caps gaussian_binomial(n, r + 1, q) and raises InfeasibleSize beyond
-    it, cached histogram or not.
+    no subspace enumerated.  Next to the histogram the cache keeps one slice
+    per a1 asked for: the entries whose flag-1 sequence dominates a1, merged
+    by flag-2 sequence, so a query only scans its slice for a2.  The budget
+    (BN_ENUM_BUDGET, default 10^7 subspaces) is a policy on the size of the
+    count, not on work done: it caps gaussian_binomial(n, r + 1, q) and
+    raises InfeasibleSize beyond it before any cache lookup, cached
+    histogram or not.
     """
     gf(q)  # rejects an unsupported field size
     n = profile.n
@@ -218,16 +233,18 @@ def count_series(q, profile: FlagProfile, r, a1, a2) -> int:
         return 0
     refuse_over_budget(gaussian_binomial(n, k, q), "subspaces")
     key = (q, profile.h, k)
-    hist = _HIST_CACHE.get(key)
-    if hist is None:
-        hist = _HIST_CACHE[key] = _rank_count_histogram(q, profile, k)
-    total = 0
-    for (b1, b2), mult in hist.items():
-        if all(b1[j] >= want1[j] for j in range(k)) and all(
-            b2[j] >= want2[j] for j in range(k)
-        ):
-            total += mult
-    return total
+    cached = _HIST_CACHE.get(key)
+    if cached is None:
+        cached = _HIST_CACHE[key] = (_rank_count_histogram(q, profile, k), {})
+    hist, slices = cached
+    piece = slices.get(want1)
+    if piece is None:
+        merged = {}
+        for (b1, b2), mult in hist.items():
+            if all(map(ge, b1, want1)):
+                merged[b2] = merged.get(b2, 0) + mult
+        piece = slices[want1] = tuple(merged.items())
+    return sum(mult for b2, mult in piece if all(map(ge, b2, want2)))
 
 
 def series_counts(profile: FlagProfile, r, a1, a2) -> list:
@@ -303,12 +320,18 @@ def dim_fit(counts) -> int | None:
         raise ValueError("counts must be nonnegative")
     if all(n == 0 for _, n in points):
         return None
+    return _fitted_degree(tuple(points))
+
+
+@lru_cache(maxsize=4096)
+def _fitted_degree(points) -> int:
+    """dim_fit's candidate fitting on checked, sorted points; NoFit is never cached."""
     degrees = set()
     for candidate in (_digit_candidate(points), _newton_candidate(points)):
         if candidate is not None:
             degrees.add(len(candidate) - 1)
     if len(degrees) != 1:
-        raise NoFit(f"counts {points} admit no unambiguous exact polynomial fit")
+        raise NoFit(f"counts {list(points)} admit no unambiguous exact polynomial fit")
     return degrees.pop()
 
 
@@ -366,15 +389,15 @@ def ec_descriptor_scan(m: EllipticModel, p: BNProblem) -> dict:
 
     Uses the model's actual difference order, so a torsion pair makes
     coinciding special bundles (and their degenerate loci) visible.  Every
-    profile has n = h^0(L) <= max(d, 1) (n = d for d >= 1), so an
-    over-budget request is refused before any is built.
+    profile has n = h^0(L) <= max(d, 1) (n = d for d >= 1), and there are
+    d + 2 of them, so an over-budget request is refused before any is built.
     """
     if p.g != 1:
         raise ValueError("the descriptor scan is a genus-1 oracle")
     order = m.order_diff
     if order < 2:
         raise ValueError("marked points must be distinct (ord(P1 - P2) >= 2)")
-    refuse_subspaces_over_budget(max(p.d, 1), p.r + 1)
+    refuse_subspaces_over_budget(max(p.d, 1), p.r + 1, p.d + 2)  # all_descriptors(d)
     a1 = to_vanishing(p.alpha1).entries
     a2 = to_vanishing(p.alpha2).entries
     report = {"order_diff": order, "descriptors": []}

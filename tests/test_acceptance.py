@@ -188,6 +188,18 @@ def test_criterion_5b_genus1_oracle_degree5():
                 assert ec_g1_nonempty(general, p) == nonempty_criterion(p), p
 
 
+def test_criterion_5c_genus1_oracle_degrees_6_and_7():
+    with report("5c", "genus-1 oracle equivalence at (r, d) = (1, 6), (2, 6), (1, 7)"):
+        general27 = load_fixture("general27")
+        assert ec_order_diff(general27) > 7
+        problems = 0
+        for r, d in ((1, 6), (2, 6), (1, 7)):
+            for p in all_problems(1, r, d):
+                assert ec_g1_nonempty(general27, p) == nonempty_criterion(p), p
+                problems += 1
+        assert problems == 2450
+
+
 def test_criterion_6_realization_validity():
     with report(6, "realization validity (g=0 exact vanishing; g=1 descriptor match)"):
         for d in range(1, 7):

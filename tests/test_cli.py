@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from math import comb
 from pathlib import Path
 
@@ -189,6 +190,29 @@ def test_oracle_verify_commands():
     assert code == 0
     assert response["payload"]["agree"]
     assert response["payload"]["generality_ok"]
+
+
+def test_oracle_verify_holds_profile_tables_against_the_budget(monkeypatch):
+    # r + 1 > n = d: no subspace to count, but d + 2 tables of (d + 1)^2 entries
+    monkeypatch.delenv("BN_ENUM_BUDGET", raising=False)
+    start = time.perf_counter()
+    response, code = run({"command": "oracle-verify", "params": {"genus": 1, "r": 320, "d": 320}})
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    size = 322 * 321**2
+    assert response["diagnostics"] == [
+        f"InfeasibleSize: enumeration of {size} profile table entries exceeds the budget of 10000000"
+    ]
+
+
+def test_oracle_verify_counts_a_full_rank_series_without_recursion(monkeypatch):
+    monkeypatch.delenv("BN_ENUM_BUDGET", raising=False)
+    # k = n = 801 ranks deep: one subspace, the whole space, at every q
+    full = list(range(801))
+    params = {"genus": 0, "r": 800, "d": 800, "a1": full, "a2": full}
+    response, code = run({"command": "oracle-verify", "params": params})
+    assert code == 0, response
+    assert response["payload"]["counts"] == [[2, 1], [3, 1], [4, 1]]
 
 
 def test_sweep_streams_grid_in_order():

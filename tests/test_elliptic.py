@@ -72,4 +72,5 @@ def test_model_search_reproduces_fixtures():
     text = resources.files("bnseries").joinpath("fixtures/elliptic_models.json").read_text()
     models = json.loads(text)["models"]
     assert find_general_model() == models["general"]
+    assert find_general_model(min_order=7) == models["general27"]
     assert find_torsion_model() == models["torsion2"]

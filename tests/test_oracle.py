@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,6 +216,38 @@ def test_histogram_invariants_beyond_enumeration(q):
                     assert mult == _schubert_cell_size(q, n, sorted_orders, seq), (q, prof.h, k, side)
 
 
+def _slice_test_profiles():
+    """Complementary profiles with n <= 6 and genus-1 profiles with d <= 5, once each."""
+    profiles = [profile_complementary(n) for n in range(1, 7)]
+    profiles += [
+        profile_g1(b, diff_order=t) for d in range(1, 6) for b in all_descriptors(d) for t in (None, 2)
+    ]
+    return list({prof.h: prof for prof in profiles}.values())
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_count_series_slices_match_a_full_histogram_scan(monkeypatch, q):
+    monkeypatch.setattr(oracle, "_HIST_CACHE", {})
+    for prof in _slice_test_profiles():
+        n = prof.n
+        for k in range(1, n + 1):
+            hist = oracle._rank_count_histogram(q, prof, k)
+            seqs = list(combinations(range(n + 1), k))
+            below = {b: [a for a in seqs if all(x >= y for x, y in zip(b, a))] for b in seqs}
+            expected = dict.fromkeys(product(seqs, repeat=2), 0)
+            for (b1, b2), mult in hist.items():  # each entry counts towards every pair it dominates
+                for pair in product(below[b1], below[b2]):
+                    expected[pair] += mult
+            # the same a1 with every a2 builds one slice and reuses it; the
+            # second round answers every pair from slices already built
+            for _ in range(2):
+                for a1, a2 in expected:
+                    assert count_series(q, prof, k - 1, a1, a2) == expected[a1, a2], (prof.h, a1, a2)
+            hist_again, slices = oracle._HIST_CACHE[q, prof.h, k]
+            assert hist_again == hist
+            assert set(slices) == set(seqs)
+
+
 def test_budget_refuses_before_counting_any_field(monkeypatch):
     monkeypatch.setattr(oracle, "_HIST_CACHE", {})
     size = gaussian_binomial(5, 2, 4)
@@ -263,6 +295,15 @@ def test_dim_fit_rejects_garbage():
         dim_fit([(2, -1), (3, 0), (4, 0)])
 
 
+def test_dim_fit_memo_keeps_checks_and_never_caches_nofit():
+    for _ in range(2):
+        with pytest.raises(NoFit):
+            dim_fit([(2, 1), (3, 2), (4, 4)])
+        assert dim_fit([(4, 21), (2, 7), (3, 13)]) == 2
+        with pytest.raises(ValueError):
+            dim_fit([(2, -1), (3, 0), (4, 0)])
+
+
 @settings(max_examples=300)
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=9).filter(lambda c: c[-1] > 0))
 def test_dim_fit_recovers_counting_polynomials(coeffs):
@@ -290,6 +331,9 @@ def test_fixtures_are_consistent():
     assert general.p >= 50 and torsion.p >= 50
     assert ec_order_diff(general) == general.order_diff == 6
     assert ec_order_diff(torsion) == torsion.order_diff == 2
+    general27 = load_fixture("general27")
+    assert general27.p >= 50
+    assert ec_order_diff(general27) == general27.order_diff == 27
 
 
 def test_elliptic_model_rejects_a_stored_order_that_the_group_law_contradicts():
