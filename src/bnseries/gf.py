@@ -71,6 +71,7 @@ def gf(q: int) -> GF:
     return GF(q)
 
 
+@lru_cache(maxsize=256)  # bounded: a refused request's huge count is not kept for long
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of an n-dimensional space over F_q."""
     if k < 0 or k > n:

@@ -3,24 +3,25 @@
 Two ingredients:
 
 * Flag profiles.  A pair of vanishing flags in an n-dimensional section
-  space is recorded by the table h(k1, k2) = dim of the intersection of the
-  two steps.  Complementary flags (the genus-0 case) have
-  h = max(0, n - k1 - k2); genus-1 profiles follow the Riemann-Roch rule
-  h = h^0(L - k1 P1 - k2 P2) for a degree-d bundle L.  Any profile emitted
-  here is realized by a coordinate model: each basis vector gets a pair of
-  vanishing orders, and both flags become spans of coordinate vectors.
+  space is recorded by its relative position: a coordinate model gives each
+  basis vector a pair of vanishing orders (o1, o2), and both flags become
+  spans of coordinate vectors.  The n pairs are built in closed form:
+  (i, n - 1 - i) for complementary flags (the genus-0 case), a few swaps of
+  that list for the Riemann-Roch rule h(k1, k2) = h^0(L - k1 P1 - k2 P2) of
+  a degree-d bundle L at genus 1.  The table h of intersection dimensions
+  is derived from the pairs on demand, never on the counting path.
 
 * Point counting.  Subspaces with prescribed vanishing against both flags
   are counted exactly over F_q for q in gf.FIELDS, cell by cell: the
   choices of each row of a canonical basis are counted from the pivots and
   flag-2 leads of the rows below it, so nothing is enumerated and no field
   arithmetic is done.  The histogram of (flag-1, flag-2) sequence pairs is
-  cached per (q, profile, rank) together with one slice per flag-1 bound
-  asked for: its entries that meet the bound, merged by flag-2 sequence, so
-  a repeated bound costs one scan of its slice.  The budget check still runs
-  on every call, before any cache lookup.  The dimension of the locus is
-  read off from the exact polynomial growth of the counts in q, fitted once
-  per distinct count vector.
+  cached per (q, profile orders, rank) together with one slice per flag-1
+  bound asked for: its entries that meet the bound, merged by flag-2
+  sequence, so a repeated bound costs one scan of its slice.  The budget
+  check still runs on every call, before any cache lookup.  The dimension
+  of the locus is read off from the exact polynomial growth of the counts
+  in q, fitted once per distinct count vector.
 
 The elliptic model supplies the genus-1 generality certificate: a concrete
 curve over a prime field with marked points whose difference has known group
@@ -46,45 +47,48 @@ class NoFit(RuntimeError):
 
 @dataclass(frozen=True)
 class FlagProfile:
-    """Intersection-dimension table of two vanishing flags in dimension n.
+    """Relative position of two vanishing flags in dimension n.
 
-    h is an (n+1) x (n+1) tuple of tuples with h[0][0] = n, nonincreasing
-    with unit steps in each argument.  (For complementary flags additionally
-    h[k][0] = h[0][k] = n - k; the degenerate genus-1 profiles where the
-    bundle concentrates at one point keep a one-dimensional tail instead.)
+    orders holds the n vanishing-order pairs (o1, o2) of a coordinate model,
+    sorted by o1: distinct o1 values, distinct o2 values, all in [0, n].
+    The table h(k1, k2) = #{i : o1_i >= k1, o2_i >= k2} of intersection
+    dimensions is a derived view, built by ``profile.h`` and read one entry
+    at a time by ``profile(k1, k2)``.
     """
 
     n: int
-    h: tuple[tuple[int, ...], ...]
+    orders: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "h", tuple(tuple(row) for row in self.h))
-        n, h = self.n, self.h
+        n, orders = self.n, tuple(sorted((o1, o2) for o1, o2 in self.orders))
+        object.__setattr__(self, "orders", orders)
         if n < 0:
             raise ValueError("profile dimension must be >= 0")
-        if len(h) != n + 1 or any(len(row) != n + 1 for row in h):
-            raise ValueError(f"profile table must be {n + 1} x {n + 1}")
-        if h[0][0] != n:
-            raise ValueError("h(0, 0) must equal the ambient dimension")
-        for k1 in range(n + 1):
-            for k2 in range(n + 1):
-                if h[k1][k2] < 0:
-                    raise ValueError("profile entries must be nonnegative")
-                if k1 < n and h[k1][k2] - h[k1 + 1][k2] not in (0, 1):
-                    raise ValueError(f"non-unit step in k1 at ({k1}, {k2})")
-                if k2 < n and h[k1][k2] - h[k1][k2 + 1] not in (0, 1):
-                    raise ValueError(f"non-unit step in k2 at ({k1}, {k2})")
+        if len(orders) != n:
+            raise ValueError(f"profile needs {n} vanishing-order pairs, got {len(orders)}")
+        for side in (0, 1):
+            values = {pair[side] for pair in orders}
+            if len(values) != n or not values <= set(range(n + 1)):
+                raise ValueError(f"flag-{side + 1} orders must be distinct integers in [0, {n}]")
 
     def __call__(self, k1: int, k2: int) -> int:
-        return self.h[k1][k2]
+        return sum(o1 >= k1 and o2 >= k2 for o1, o2 in self.orders)
+
+    @property
+    def h(self) -> tuple[tuple[int, ...], ...]:
+        """The (n+1) x (n+1) table of h(k1, k2), built upwards from row n."""
+        o2_at = dict(self.orders)
+        row, rows = (0,) * (self.n + 1), []
+        for k1 in range(self.n, -1, -1):
+            cut = o2_at.get(k1, -1) + 1
+            row = tuple(v + 1 for v in row[:cut]) + row[cut:]
+            rows.append(row)
+        return tuple(reversed(rows))
 
 
 def profile_complementary(n: int) -> FlagProfile:
-    """Profile of two complementary flags: h(k1, k2) = max(0, n - k1 - k2)."""
-    table = tuple(
-        tuple(max(0, n - k1 - k2) for k2 in range(n + 1)) for k1 in range(n + 1)
-    )
-    return FlagProfile(n, table)
+    """Complementary flags: orders (i, n - 1 - i), so h(k1, k2) = max(0, n - k1 - k2)."""
+    return FlagProfile(n, tuple((i, n - 1 - i) for i in range(n)))
 
 
 def profile_g1(bundle: LineBundleDescriptor, diff_order: int | None = None) -> FlagProfile:
@@ -96,40 +100,30 @@ def profile_g1(bundle: LineBundleDescriptor, diff_order: int | None = None) -> F
     with ``diff_order = None`` (points in general position) this needs
     a = k1; a finite ``diff_order`` t relaxes it to a = k1 mod t.  So n = d
     for d >= 1, and at d = 0 n is 1 for O and 0 for a generic bundle.
+
+    In orders, a generic bundle is complementary(d).  A special one adds 1 to
+    h at each (s, d - s) with s = a (mod t): rows s - 1 and s of (i, d - 1 - i)
+    swap their o2 values, or row 0 takes o2 = d (s = 0) and row d - 1 takes
+    o1 = d (s = d).  At t = 1 (P1 = P2) every s is hit and no flags realize h.
     """
     if diff_order is not None and diff_order < 1:
         raise ValueError("diff_order must be a positive integer")
     d, a = bundle.d, bundle.a
-
-    def h0(k1, k2):
-        e = d - k1 - k2
-        if e or a is None:
-            return e if e > 0 else 0
-        return int(a == k1 if diff_order is None else (a - k1) % diff_order == 0)
-
-    n = h0(0, 0)
-    return FlagProfile(n, [[h0(k1, k2) for k2 in range(n + 1)] for k1 in range(n + 1)])
-
-
-def basis_orders(profile: FlagProfile) -> tuple[tuple[int, int], ...]:
-    """Vanishing-order pairs (o1, o2) of a coordinate model realizing the profile.
-
-    The multiplicity of the pair (k1, k2) is the second difference of the
-    table; it must be nonnegative with total n for the profile to come from
-    an actual pair of flags.
-    """
-    n = profile.n
-    rows = [row + (0,) for row in profile.h] + [(0,) * (n + 2)]  # h = 0 beyond n
-    orders = []
-    for k1, (row, below) in enumerate(zip(rows, rows[1:])):
-        for k2 in range(n + 1):
-            mult = row[k2] - below[k2] - row[k2 + 1] + below[k2 + 1]
-            if mult < 0:
-                raise ValueError(f"profile not realizable: negative mass at ({k1}, {k2})")
-            orders.extend([(k1, k2)] * mult)
-    if len(orders) != n:
-        raise ValueError("profile not realizable: total mass != n")
-    return tuple(orders)
+    if a is None:
+        return profile_complementary(d)
+    if diff_order == 1:
+        raise ValueError("diff_order 1 puts P1 = P2, where no special profile is realizable")
+    if d == 0:
+        return FlagProfile(1, ((0, 0),))
+    orders = [[i, d - 1 - i] for i in range(d)]
+    for s in range(a % diff_order, d + 1, diff_order) if diff_order else (a,):
+        if s == 0:
+            orders[0][1] = d
+        elif s == d:
+            orders[d - 1][0] = d
+        else:
+            orders[s - 1][1], orders[s][1] = orders[s][1], orders[s - 1][1]
+    return FlagProfile(d, orders)
 
 
 def refuse_subspaces_over_budget(n: int, k: int, profiles: int = 0) -> None:
@@ -137,10 +131,9 @@ def refuse_subspaces_over_budget(n: int, k: int, profiles: int = 0) -> None:
 
     The check needs only (n, k), so a request is refused before any profile
     is built.  With k > n there is nothing to count and nothing is checked.
-    After it, the ``profiles`` tables of (n + 1)^2 entries that the request
-    will build are held against the budget too, k > n or not: when k >= n
-    there is at most one subspace, but building the tables still costs
-    work that grows with n.
+    After it, (n + 1)^2 table entries for each of the ``profiles`` are held
+    against the budget, k > n or not: no table is built any more, but the
+    charge stays as policy, since its refusals are part of the interface.
     """
     if k <= n:
         for q in FIELDS:
@@ -149,7 +142,7 @@ def refuse_subspaces_over_budget(n: int, k: int, profiles: int = 0) -> None:
         refuse_over_budget(profiles * (n + 1) ** 2, "profile table entries")
 
 
-# (joint tallies of vanishing-sequence pairs, {a1: slice}), by (q, profile table, k)
+# (joint tallies of vanishing-sequence pairs, {a1: slice}), by (q, profile.orders, k)
 _HIST_CACHE: dict = {}
 
 
@@ -157,26 +150,27 @@ def _rank_count_histogram(q: int, profile: FlagProfile, k: int) -> dict:
     """The histogram, counted row by row from the leads of the rows below.
 
     Columns are taken in flag-1 order, so the pivots p0 < ... < p_{k-1} of a
-    subspace's reduced echelon basis give its flag-1 sequence.  Rows 1..k-1
+    subspace's reduced echelon basis give its flag-1 sequence; a column's
+    flag-2 position is its flag-2 order o2, a bit of a mask.  Rows 1..k-1
     span a (k-1)-subspace W of the columns after p0, with flag-2 lead
     positions T; call a position open when its column lies after p0 and it
     is not in T.  Row 0 ranges over e_{p0} + L, L spanned by the free
     columns after p0, and adds one lead t to T.  With C_t spanned by the
     columns at flag-2 positions >= t and U_t = W + C_t, that lead is >= t
     exactly when row 0 lies in U_t.  As L + W spans every column after p0,
-    this holds for q^dim(L & U_t) choices when pos2(p0) >= t and for none
+    this holds for q^dim(L & U_t) choices when o2(p0) >= t and for none
     otherwise, and dim(L & U_t) is the number of open positions >= t.  So
-    with f open positions above t, t = pos2(p0) takes q^f choices, an open
-    t < pos2(p0) takes (q - 1) q^f, and no other t takes any.  The count
+    with f open positions above t, t = o2(p0) takes q^f choices, an open
+    t < o2(p0) takes (q - 1) q^f, and no other t takes any.  The count
     depends on W only through its pivots and T, so W is counted the same
     way, tallied by its first column s one rank at a time.
     """
     n = profile.n
-    orders = basis_orders(profile)
-    by1 = sorted(range(n), key=lambda i: orders[i][0])
-    o1_of_col = [orders[i][0] for i in by1]
-    o2_of_col = [orders[i][1] for i in by1]
-    cols_by_o2 = sorted(range(n), key=lambda c: o2_of_col[c])
+    o1_of_col = [o1 for o1, _ in profile.orders]  # the orders are sorted by o1
+    o2_of_col = [o2 for _, o2 in profile.orders]
+    after = [0] * n  # after[p]: bitmask of the flag-2 orders of the columns after p
+    for p in range(n - 2, -1, -1):
+        after[p] = after[p + 1] | 1 << o2_of_col[p + 1]
 
     # tallies[s] at rank m: {(flag-1 orders of the pivots, bitmask of flag-2
     # lead positions): count} over the m-subspaces with first pivot >= s.  It
@@ -188,20 +182,24 @@ def _rank_count_histogram(q: int, profile: FlagProfile, k: int) -> dict:
         for s in range(k - m, (n - m if m < k else 0) + 1):
             out = tallies[s] = {}
             for p0 in range(s, n - m + 1):
-                top = cols_by_o2.index(p0)
-                after = [t for t in range(n - 1, -1, -1) if cols_by_o2[t] > p0]
+                top = o2_of_col[p0]
                 for (b1, leads), mult in below[p0 + 1].items():
-                    opened = [t for t in after if not leads >> t & 1]  # descending
-                    above = sum(t > top for t in opened)
-                    choices = [(top, q**above)]
-                    choices += [(t, (q - 1) * q**f) for f, t in enumerate(opened[above:], above)]
+                    opened = after[p0] & ~leads
+                    f = (opened >> top).bit_count()
+                    choices = [(top, q**f)]
+                    opened &= (1 << top) - 1
+                    while opened:  # the open positions below top, descending
+                        t = opened.bit_length() - 1
+                        opened ^= 1 << t
+                        choices.append((t, (q - 1) * q**f))
+                        f += 1
                     for t, ways in choices:
                         key = ((o1_of_col[p0],) + b1, leads | 1 << t)
                         out[key] = out.get(key, 0) + mult * ways
 
     hist = {}
     for (b1, leads), mult in tallies[0].items():
-        b2 = tuple(o2_of_col[c] for t, c in enumerate(cols_by_o2) if leads >> t & 1)
+        b2 = tuple(t for t in range(n + 1) if leads >> t & 1)
         hist[b1, b2] = hist.get((b1, b2), 0) + mult
     return hist
 
@@ -211,11 +209,12 @@ def count_series(q, profile: FlagProfile, r, a1, a2) -> int:
 
     q must be in gf.FIELDS.  A subspace qualifies when its vanishing sequence
     against flag i dominates a_i componentwise.  The counts come from a
-    histogram of (flag-1, flag-2) sequence pairs, cached by (q, profile
-    table, r + 1) and counted row by row (see _rank_count_histogram), with
-    no subspace enumerated.  Next to the histogram the cache keeps one slice
-    per a1 asked for: the entries whose flag-1 sequence dominates a1, merged
-    by flag-2 sequence, so a query only scans its slice for a2.  The budget
+    histogram of (flag-1, flag-2) sequence pairs, cached by (q,
+    profile.orders, r + 1) and counted row by row (see
+    _rank_count_histogram), with no subspace enumerated.  Next to the
+    histogram the cache keeps one slice per a1 asked for: the entries whose
+    flag-1 sequence dominates a1, merged by flag-2 sequence, so a query
+    only scans its slice for a2.  The budget
     (BN_ENUM_BUDGET, default 10^7 subspaces) is a policy on the size of the
     count, not on work done: it caps gaussian_binomial(n, r + 1, q) and
     raises InfeasibleSize beyond it before any cache lookup, cached
@@ -232,7 +231,7 @@ def count_series(q, profile: FlagProfile, r, a1, a2) -> int:
     if k > n:
         return 0
     refuse_over_budget(gaussian_binomial(n, k, q), "subspaces")
-    key = (q, profile.h, k)
+    key = (q, profile.orders, k)
     cached = _HIST_CACHE.get(key)
     if cached is None:
         cached = _HIST_CACHE[key] = (_rank_count_histogram(q, profile, k), {})

@@ -215,6 +215,35 @@ def test_oracle_verify_counts_a_full_rank_series_without_recursion(monkeypatch):
     assert response["payload"]["counts"] == [[2, 1], [3, 1], [4, 1]]
 
 
+# Peak RSS is read from VmHWM, which exec resets; ru_maxrss would start at
+# the resident size of the process that spawned the child.
+_FULL_RANK_CHILD = """
+import json, re, time
+from pathlib import Path
+from bnseries.cli import run
+full = list(range(2001))
+start = time.perf_counter()
+response, code = run({"command": "oracle-verify", "params": {"genus": 0, "r": 2000, "d": 2000, "a1": full, "a2": full}})
+elapsed = time.perf_counter() - start
+status = Path("/proc/self/status")
+peak = re.search(r"VmHWM:\\s+(\\d+) kB", status.read_text()) if status.exists() else None
+print(json.dumps([code, response["payload"]["counts"], elapsed, peak and int(peak[1]) * 1024]))
+"""
+
+
+def test_oracle_verify_full_rank_at_n_2001_is_cheap():
+    # k = n = 2001: the histogram needs only the n pairs (i, n - 1 - i), never
+    # the 2002 x 2002 table they determine
+    env = child_env()
+    env.pop("BN_ENUM_BUDGET", None)
+    proc = subprocess.run([sys.executable, "-c", _FULL_RANK_CHILD], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    code, counts, elapsed, peak_bytes = json.loads(proc.stdout)
+    assert (code, counts) == (0, [[2, 1], [3, 1], [4, 1]])
+    assert elapsed <= 2, elapsed
+    assert peak_bytes is None or peak_bytes <= 40 * 2**20, peak_bytes  # None: no /proc to read
+
+
 def test_sweep_streams_grid_in_order():
     points = list(iter_sweep({"g_max": 1, "r_max": 1, "d_max": 2}))
     assert [p["params"]["g"] for p in points] == sorted(p["params"]["g"] for p in points)

@@ -1,4 +1,6 @@
+import json
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,9 +21,74 @@ from bnseries import (
     profile_g1,
 )
 from bnseries import oracle
+from bnseries.cli import _dump, run
 from bnseries.gf import FIELDS, gaussian_binomial, gf, lead_positions, rref_matrices
-from bnseries.oracle import all_descriptors, basis_orders, ec_descriptor_scan, series_counts
+from bnseries.oracle import all_descriptors, ec_descriptor_scan, series_counts
 from bnseries.realize import generic_bundle, special_bundle
+
+
+# The table path, kept as the reference for the closed-form profiles: a pair
+# of flags recorded by its (n+1) x (n+1) table h(k1, k2), checked for unit
+# steps, with the vanishing-order pairs read off by second differences.
+
+
+def _table_orders(n, h):
+    """Vanishing-order pairs of a coordinate model realizing the table h.
+
+    h must have h[0][0] = n and unit steps in each argument.  The multiplicity
+    of the pair (k1, k2) is the second difference of the table; it must be
+    nonnegative with total n for the table to come from an actual pair of
+    flags.
+    """
+    h = tuple(tuple(row) for row in h)
+    if n < 0:
+        raise ValueError("profile dimension must be >= 0")
+    if len(h) != n + 1 or any(len(row) != n + 1 for row in h):
+        raise ValueError(f"profile table must be {n + 1} x {n + 1}")
+    if h[0][0] != n:
+        raise ValueError("h(0, 0) must equal the ambient dimension")
+    for k1 in range(n + 1):
+        for k2 in range(n + 1):
+            if h[k1][k2] < 0:
+                raise ValueError("profile entries must be nonnegative")
+            if k1 < n and h[k1][k2] - h[k1 + 1][k2] not in (0, 1):
+                raise ValueError(f"non-unit step in k1 at ({k1}, {k2})")
+            if k2 < n and h[k1][k2] - h[k1][k2 + 1] not in (0, 1):
+                raise ValueError(f"non-unit step in k2 at ({k1}, {k2})")
+    rows = [row + (0,) for row in h] + [(0,) * (n + 2)]  # h = 0 beyond n
+    orders = []
+    for k1, (row, below) in enumerate(zip(rows, rows[1:])):
+        for k2 in range(n + 1):
+            mult = row[k2] - below[k2] - row[k2 + 1] + below[k2 + 1]
+            if mult < 0:
+                raise ValueError(f"profile not realizable: negative mass at ({k1}, {k2})")
+            orders.extend([(k1, k2)] * mult)
+    if len(orders) != n:
+        raise ValueError("profile not realizable: total mass != n")
+    return tuple(orders)
+
+
+def _table_profile(n, h):
+    return FlagProfile(n, _table_orders(n, h))
+
+
+def basis_orders(profile):
+    """The profile's orders, read back from its derived table h."""
+    return _table_orders(profile.n, profile.h)
+
+
+def _h0_table(bundle, diff_order=None):
+    """The Riemann-Roch table h^0(L - k1 P1 - k2 P2) of a genus-1 bundle, entry by entry."""
+    d, a = bundle.d, bundle.a
+
+    def h0(k1, k2):
+        e = d - k1 - k2
+        if e or a is None:
+            return e if e > 0 else 0
+        return int(a == k1 if diff_order is None else (a - k1) % diff_order == 0)
+
+    n = h0(0, 0)
+    return n, [[h0(k1, k2) for k2 in range(n + 1)] for k1 in range(n + 1)]
 
 
 def test_profile_complementary_values():
@@ -33,9 +100,23 @@ def test_profile_complementary_values():
 
 def test_profile_validation():
     with pytest.raises(ValueError):
-        FlagProfile(2, ((2, 1, 0), (1, 1, 1), (0, 0, 0)))  # k2 step jumps back up
+        _table_profile(2, ((2, 1, 0), (1, 1, 1), (0, 0, 0)))  # k2 step jumps back up
     with pytest.raises(ValueError):
-        FlagProfile(2, ((2, 0, 0), (1, 0, 0), (0, 0, 0)))  # step of size 2
+        _table_profile(2, ((2, 0, 0), (1, 0, 0), (0, 0, 0)))  # step of size 2
+    for n, orders in [
+        (-1, ()),
+        (2, ((0, 1),)),  # one pair short
+        (2, ((0, 1), (1, 1))),  # repeated flag-2 order
+        (2, ((1, 0), (1, 1))),  # repeated flag-1 order
+        (2, ((0, 3), (1, 0))),  # order beyond n
+        (2, ((0, 1), (1, 0), (2, 2))),  # one pair too many
+        (1, ((0, 0, 0),)),  # not a pair
+    ]:
+        with pytest.raises(ValueError):
+            FlagProfile(n, orders)
+    # pairs are stored sorted by o1, so their input order does not matter
+    assert FlagProfile(2, ((1, 0), (0, 2))) == FlagProfile(2, [[0, 2], [1, 0]])
+    assert FlagProfile(2, ((1, 0), (0, 2))).orders == ((0, 2), (1, 0))
 
 
 def test_profile_g1_values():
@@ -63,17 +144,46 @@ def test_emitted_profiles_are_realizable():
 
 def test_profile_g1_input_validation():
     # at d = 0 only O has a section: n = h^0(L) is 1 for O and 0 otherwise
-    assert profile_g1(generic_bundle(0)) == FlagProfile(0, ((0,),))
-    assert profile_g1(special_bundle(0, 0)) == FlagProfile(1, ((1, 0), (0, 0)))
+    assert profile_g1(generic_bundle(0)) == _table_profile(0, ((0,),)) == FlagProfile(0, ())
+    assert profile_g1(special_bundle(0, 0)) == _table_profile(1, ((1, 0), (0, 0)))
+    assert profile_g1(special_bundle(0, 0)).orders == ((0, 0),)
     with pytest.raises(ValueError):
         profile_g1(generic_bundle(3), diff_order=0)
 
 
 def test_basis_orders_rejects_unrealizable_table():
     # a valid-looking monotone table whose second difference goes negative
-    prof = FlagProfile(2, ((2, 1, 1), (1, 1, 0), (1, 0, 0)))
-    with pytest.raises(ValueError):
-        basis_orders(prof)
+    with pytest.raises(ValueError, match="not realizable"):
+        _table_orders(2, ((2, 1, 1), (1, 1, 0), (1, 0, 0)))
+
+
+def test_closed_form_profiles_match_the_table_path():
+    # every descriptor at d <= 12 with diff_order None or 2..d+2
+    cases = [(b, t) for d in range(13) for t in [None, *range(2, d + 3)] for b in all_descriptors(d)]
+    assert len(cases) == 1014
+    for bundle, t in cases:
+        n, table = _h0_table(bundle, t)
+        prof = profile_g1(bundle, diff_order=t)
+        assert prof == _table_profile(n, table), (bundle, t)
+        assert prof.h == tuple(map(tuple, table)), (bundle, t)
+    for n in range(14):
+        table = [[max(0, n - k1 - k2) for k2 in range(n + 1)] for k1 in range(n + 1)]
+        prof = profile_complementary(n)
+        assert prof == _table_profile(n, table)
+        assert prof.h == tuple(map(tuple, table))
+        assert [[prof(k1, k2) for k2 in range(n + 1)] for k1 in range(n + 1)] == table
+
+
+def test_special_profile_with_coinciding_points_is_refused():
+    # diff_order 1 puts P1 = P2: the Riemann-Roch table is not a pair of flags
+    n, table = _h0_table(special_bundle(3, 1), 1)
+    with pytest.raises(ValueError, match="not realizable"):
+        _table_orders(n, table)
+    for d, a in [(3, 1), (0, 0), (4, 4)]:
+        with pytest.raises(ValueError, match="P1 = P2"):
+            profile_g1(special_bundle(d, a), diff_order=1)
+    # a generic bundle has no trivial twist to hit
+    assert profile_g1(generic_bundle(3), diff_order=1) == profile_complementary(3)
 
 
 def test_profile_g1_concentrated_bundle_keeps_tail():
@@ -243,9 +353,53 @@ def test_count_series_slices_match_a_full_histogram_scan(monkeypatch, q):
             for _ in range(2):
                 for a1, a2 in expected:
                     assert count_series(q, prof, k - 1, a1, a2) == expected[a1, a2], (prof.h, a1, a2)
-            hist_again, slices = oracle._HIST_CACHE[q, prof.h, k]
+            hist_again, slices = oracle._HIST_CACHE[q, prof.orders, k]
             assert hist_again == hist
             assert set(slices) == set(seqs)
+
+
+def test_oracle_verify_builds_no_profile_table(monkeypatch):
+    def no_table(self):
+        raise AssertionError("a profile table was built on the request path")
+
+    golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text())["run"]
+    entries = [
+        entry
+        for entry in golden
+        if isinstance(entry["request"], dict) and entry["request"].get("command") == "oracle-verify"
+    ]
+    params = [entry["request"].get("params") for entry in entries]
+    assert {0, 1} <= {p.get("genus") for p in params if isinstance(p, dict)}
+    monkeypatch.setattr(FlagProfile, "h", property(no_table))
+    monkeypatch.setattr(oracle, "_HIST_CACHE", {})
+    monkeypatch.delenv("BN_ENUM_BUDGET", raising=False)
+    for entry in entries:
+        for key, value in entry.get("env", {}).items():
+            monkeypatch.setenv(key, value)
+        response, code = run(entry["request"])
+        assert (_dump(response), code) == (entry["output"], entry["code"]), entry["request"]
+
+
+@pytest.mark.parametrize(
+    "params, size",
+    [
+        ({"genus": 0, "r": 1, "d": 3, "a1": [0, 1], "a2": [0, 2]}, gaussian_binomial(4, 2, 2)),
+        # n = 3, k = 2: 7 subspaces at q = 2 fit, 13 at q = 3 do not
+        ({"genus": 1, "r": 1, "d": 3, "alpha1": [0, 1], "alpha2": [0, 0]}, gaussian_binomial(3, 2, 3)),
+    ],
+)
+def test_cached_counts_do_not_bypass_a_lowered_budget(params, size, monkeypatch):
+    monkeypatch.setattr(oracle, "_HIST_CACHE", {})
+    monkeypatch.delenv("BN_ENUM_BUDGET", raising=False)
+    request = {"command": "oracle-verify", "params": params}
+    assert run(request)[1] == 0
+    assert oracle._HIST_CACHE  # the counts are memoised ...
+    monkeypatch.setenv("BN_ENUM_BUDGET", "10")
+    response, code = run(request)  # ... but the decision is taken afresh
+    assert (response["diagnostics"], code) == (
+        [f"InfeasibleSize: enumeration of {size} subspaces exceeds the budget of 10"],
+        2,
+    )
 
 
 def test_budget_refuses_before_counting_any_field(monkeypatch):
