@@ -34,7 +34,6 @@ from .core import (
 from .oracle import (
     EllipticModel,
     FlagProfile,
-    NoFit,
     count_series,
     dim_fit,
     ec_g1_nonempty,

@@ -39,7 +39,7 @@ from .core import (
     zero_ram,
 )
 from .oracle import (
-    dim_or_nofit,
+    dim_fit,
     ec_descriptor_scan,
     load_fixture,
     profile_complementary,
@@ -229,16 +229,16 @@ def _cmd_oracle_verify(params: dict):
         expected = richardson_dim(d, a1, a2)
         refuse_subspaces_over_budget(d + 1, r + 1, 1)
         profile = profile_complementary(d + 1)
-        counts = [list(c) for c in series_counts(profile, r, a1.entries, a2.entries)]
+        counts, coeffs = series_counts(profile, r, a1.entries, a2.entries)
         if expected is None:
-            fitted, agree = None, all(n == 0 for _, n in counts)
+            fitted, agree = None, not coeffs
         else:
-            fitted = dim_or_nofit(counts)
+            fitted = dim_fit(coeffs)
             agree = fitted == expected
         return ("empty" if expected is None else "ok"), {
             "genus": 0,
             "richardson_dim": expected,
-            "counts": counts,
+            "counts": [list(c) for c in counts],
             "fitted_dim": fitted,
             "agree": agree,
         }

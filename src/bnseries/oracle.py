@@ -12,16 +12,21 @@ Two ingredients:
   is derived from the pairs on demand, never on the counting path.
 
 * Point counting.  Subspaces with prescribed vanishing against both flags
-  are counted exactly over F_q for q in gf.FIELDS, cell by cell: the
-  choices of each row of a canonical basis are counted from the pivots and
-  flag-2 leads of the rows below it, so nothing is enumerated and no field
-  arithmetic is done.  The histogram of (flag-1, flag-2) sequence pairs is
-  cached per (q, profile orders, rank) together with one slice per flag-1
-  bound asked for: its entries that meet the bound, merged by flag-2
-  sequence, so a repeated bound costs one scan of its slice.  The budget
-  check still runs on every call, before any cache lookup.  The dimension
-  of the locus is read off from the exact polynomial growth of the counts
-  in q, fitted once per distinct count vector.
+  are counted cell by cell: the choices of each row of a canonical basis
+  are counted from the pivots and flag-2 leads of the rows below it, so
+  nothing is enumerated and no field arithmetic is done.  Each count is a
+  polynomial in q, a sum of cell sizes (q - 1)^a q^b, so the absolute
+  values of its coefficients sum to at most its value at q = 3.  The
+  histogram of (flag-1, flag-2) sequence pairs is therefore counted once,
+  at a power of two X above twice the number of subspaces at q = 3, and
+  a count read at X gives its exact coefficients back as balanced base-X
+  digits (Kronecker substitution).  The histogram is cached per (profile
+  orders, rank) together with one slice per flag-1 bound asked for: its
+  entries that meet the bound, merged by flag-2 sequence, so a repeated
+  bound costs one scan of its slice.  The budget check still runs on every
+  call, before any cache lookup.  The counts over F_q for q in gf.FIELDS
+  are the polynomial's values, and the dimension of the locus is its
+  degree.
 
 The elliptic model supplies the genus-1 generality certificate: a concrete
 curve over a prime field with marked points whose difference has known group
@@ -31,18 +36,14 @@ reproduces the excluded degeneration where two special bundles coincide.
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from operator import ge
 
 from .core import BNProblem, VanishingSeq, refuse_over_budget, to_vanishing
 from .elliptic import discriminant, ec_add, ec_neg, is_on_curve, is_prime, point_order
-from .gf import FIELDS, gaussian_binomial, gf
+from .gf import FIELDS, gaussian_binomial
 from .realize import LineBundleDescriptor, generic_bundle, special_bundle
-
-class NoFit(RuntimeError):
-    """The point counts admit no verified exact polynomial fit."""
 
 
 @dataclass(frozen=True)
@@ -131,18 +132,26 @@ def refuse_subspaces_over_budget(n: int, k: int, profiles: int = 0) -> None:
 
     The check needs only (n, k), so a request is refused before any profile
     is built.  With k > n there is nothing to count and nothing is checked.
-    After it, (n + 1)^2 table entries for each of the ``profiles`` are held
-    against the budget, k > n or not: no table is built any more, but the
-    charge stays as policy, since its refusals are part of the interface.
+    The top Schubert cell has q^(k(n - k)) points, a lower bound on the
+    count; when that bound is already too large to print at the smallest q,
+    the refusal names it instead of computing the exact count.  After it,
+    (n + 1)^2 table entries for each of the ``profiles`` are held against
+    the budget, k > n or not: no table is built any more, but the charge
+    stays as policy, since its refusals are part of the interface.
     """
     if k <= n:
+        floor = FIELDS[0] ** (k * (n - k))
+        try:
+            str(floor)
+        except ValueError:  # the count is unprintable too: core names it "at least 2^..."
+            refuse_over_budget(floor, "subspaces")
         for q in FIELDS:
             refuse_over_budget(gaussian_binomial(n, k, q), "subspaces")
     if profiles:
         refuse_over_budget(profiles * (n + 1) ** 2, "profile table entries")
 
 
-# (joint tallies of vanishing-sequence pairs, {a1: slice}), by (q, profile.orders, k)
+# (X, joint tallies of vanishing-sequence pairs at q = X, {a1: slice}), by (profile.orders, k)
 _HIST_CACHE: dict = {}
 
 
@@ -204,38 +213,22 @@ def _rank_count_histogram(q: int, profile: FlagProfile, k: int) -> dict:
     return hist
 
 
-def count_series(q, profile: FlagProfile, r, a1, a2) -> int:
-    """Number of (r+1)-subspaces of F_q^n with vanishing >= a1, a2 at the flags.
+def _counting_polynomial(profile: FlagProfile, k: int, want1, want2) -> tuple[int, ...]:
+    """Coefficients, low to high, of the count of k-subspaces meeting want1, want2.
 
-    q must be in gf.FIELDS.  A subspace qualifies when its vanishing sequence
-    against flag i dominates a_i componentwise.  The counts come from a
-    histogram of (flag-1, flag-2) sequence pairs, cached by (q,
-    profile.orders, r + 1) and counted row by row (see
-    _rank_count_histogram), with no subspace enumerated.  Next to the
-    histogram the cache keeps one slice per a1 asked for: the entries whose
-    flag-1 sequence dominates a1, merged by flag-2 sequence, so a query
-    only scans its slice for a2.  The budget
-    (BN_ENUM_BUDGET, default 10^7 subspaces) is a policy on the size of the
-    count, not on work done: it caps gaussian_binomial(n, r + 1, q) and
-    raises InfeasibleSize beyond it before any cache lookup, cached
-    histogram or not.
+    The histogram is counted at q = X and cached with X and its slices.  A
+    count is a sum of cell sizes (q - 1)^a q^b, whose coefficients have
+    absolute values summing to 2^a <= 2^a 3^b, so those of any sum of
+    entries sum to at most gaussian_binomial(n, k, 3) < X / 2.  Balanced
+    base-X digits of the count at X are then its coefficients.  The result
+    is () for an empty locus, and its last coefficient is never 0.
     """
-    gf(q)  # rejects an unsupported field size
-    n = profile.n
-    k = r + 1
-    want1 = VanishingSeq(a1, n).entries
-    want2 = VanishingSeq(a2, n).entries
-    for want in (want1, want2):
-        if len(want) != k:
-            raise ValueError(f"expected {k} vanishing orders, got {len(want)}")
-    if k > n:
-        return 0
-    refuse_over_budget(gaussian_binomial(n, k, q), "subspaces")
-    key = (q, profile.orders, k)
+    key = (profile.orders, k)
     cached = _HIST_CACHE.get(key)
     if cached is None:
-        cached = _HIST_CACHE[key] = (_rank_count_histogram(q, profile, k), {})
-    hist, slices = cached
+        x = 2 ** (gaussian_binomial(profile.n, k, 3).bit_length() + 1)
+        cached = _HIST_CACHE[key] = (x, _rank_count_histogram(x, profile, k), {})
+    x, hist, slices = cached
     piece = slices.get(want1)
     if piece is None:
         merged = {}
@@ -243,19 +236,19 @@ def count_series(q, profile: FlagProfile, r, a1, a2) -> int:
             if all(map(ge, b1, want1)):
                 merged[b2] = merged.get(b2, 0) + mult
         piece = slices[want1] = tuple(merged.items())
-    return sum(mult for b2, mult in piece if all(map(ge, b2, want2)))
+    return _balanced_digits(sum(mult for b2, mult in piece if all(map(ge, b2, want2))), x)
 
 
-def series_counts(profile: FlagProfile, r, a1, a2) -> list:
-    """[(q, count_series(q, profile, r, a1, a2)) for q in gf.FIELDS].
-
-    Every field size is checked against the budget before any is counted, so
-    an over-budget q costs no counting at the smaller ones; the refusal names
-    the first such q, as counting in order would.  The bounds a1, a2 are
-    validated by count_series.
-    """
-    refuse_subspaces_over_budget(profile.n, r + 1)
-    return [(q, count_series(q, profile, r, a1, a2)) for q in FIELDS]
+def _balanced_digits(value: int, x: int) -> tuple[int, ...]:
+    """The digits of value in base x, each in (-x/2, x/2), lowest first."""
+    digits = []
+    while value:
+        value, digit = divmod(value, x)
+        if digit > x >> 1:  # a negative digit borrows one from the next
+            digit -= x
+            value += 1
+        digits.append(digit)
+    return tuple(digits)
 
 
 def _poly_eval(coeffs, x):
@@ -265,81 +258,61 @@ def _poly_eval(coeffs, x):
     return value
 
 
-def _digit_candidate(points):
-    """Coefficients read as base-q digits at the largest q, or None."""
-    q_top, n_top = points[-1]
-    if n_top <= 0:
-        return None
-    digits = []
-    value = n_top
-    while value:
-        digits.append(value % q_top)
-        value //= q_top
-    if all(_poly_eval(digits, q) == n for q, n in points[:-1]):
-        return digits
-    return None
+def _wanted(profile: FlagProfile, r, a1, a2) -> tuple:
+    """(k, a1, a2 entries) for rank k = r + 1, with a1 and a2 checked as vanishing sequences of length k."""
+    k = r + 1
+    want1 = VanishingSeq(a1, profile.n).entries
+    want2 = VanishingSeq(a2, profile.n).entries
+    for want in (want1, want2):
+        if len(want) != k:
+            raise ValueError(f"expected {k} vanishing orders, got {len(want)}")
+    return k, want1, want2
 
 
-def _newton_candidate(points):
-    """Exact interpolant through all points, if its coefficients are counts."""
-    xs = [Fraction(q) for q, _ in points]
-    coeffs = [Fraction(n) for _, n in points]
-    for level in range(1, len(points)):
-        for i in range(len(points) - 1, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
-    poly = [Fraction(0)] * len(points)
-    poly[0] = coeffs[-1]
-    for i in range(len(points) - 2, -1, -1):
-        for j in range(len(points) - 1, 0, -1):
-            poly[j] = poly[j - 1] - xs[i] * poly[j]
-        poly[0] = coeffs[i] - xs[i] * poly[0]
-    while len(poly) > 1 and poly[-1] == 0:
-        poly.pop()
-    if all(c.denominator == 1 and c >= 0 for c in poly):
-        return [int(c) for c in poly]
-    return None
+def count_series(q, profile: FlagProfile, r, a1, a2) -> int:
+    """Number of (r+1)-subspaces of F_q^n with vanishing >= a1, a2 at the flags.
 
-
-def dim_fit(counts) -> int | None:
-    """Dimension of a locus from exact point counts at >= 3 field sizes.
-
-    Returns None when the counts are identically zero (empty locus).
-    Otherwise finds a counting polynomial that reproduces every sample
-    exactly, trying both the interpolant through all points and the
-    base-q digit expansion at the largest q (which sees degrees beyond the
-    sample size as long as coefficients stay below q).  Raises NoFit when no
-    candidate fits or the verified candidates disagree on the degree.
+    q must be in gf.FIELDS.  A subspace qualifies when its vanishing sequence
+    against flag i dominates a_i componentwise.  The count is the value at q
+    of the exact counting polynomial (see _counting_polynomial), so no
+    subspace is enumerated.  The budget (BN_ENUM_BUDGET, default 10^7
+    subspaces) is a policy on the size of the count, not on work done: it
+    caps gaussian_binomial(n, r + 1, q) and raises InfeasibleSize beyond it
+    before any cache lookup, cached histogram or not.
     """
-    points = sorted((int(q), int(n)) for q, n in counts)
-    if len({q for q, _ in points}) != len(points):
-        raise ValueError("counts must be at distinct field sizes")
-    if len(points) < 3:
-        raise ValueError("need counts at >= 3 distinct field sizes")
-    if any(n < 0 for _, n in points):
-        raise ValueError("counts must be nonnegative")
-    if all(n == 0 for _, n in points):
-        return None
-    return _fitted_degree(tuple(points))
+    if q not in FIELDS:
+        raise ValueError("supported field sizes are 2, 3 and 4")
+    k, want1, want2 = _wanted(profile, r, a1, a2)
+    if k > profile.n:
+        return 0
+    refuse_over_budget(gaussian_binomial(profile.n, k, q), "subspaces")
+    return _poly_eval(_counting_polynomial(profile, k, want1, want2), q)
 
 
-@lru_cache(maxsize=4096)
-def _fitted_degree(points) -> int:
-    """dim_fit's candidate fitting on checked, sorted points; NoFit is never cached."""
-    degrees = set()
-    for candidate in (_digit_candidate(points), _newton_candidate(points)):
-        if candidate is not None:
-            degrees.add(len(candidate) - 1)
-    if len(degrees) != 1:
-        raise NoFit(f"counts {list(points)} admit no unambiguous exact polynomial fit")
-    return degrees.pop()
+def series_counts(profile: FlagProfile, r, a1, a2) -> tuple[list, tuple[int, ...]]:
+    """([(q, count_series(q, profile, r, a1, a2)) for q in gf.FIELDS], coefficients).
+
+    The coefficients, low to high, are those of the exact counting
+    polynomial in q, () for an empty locus; the counts are its values.  The
+    budget is checked for every field size before anything is validated or
+    counted, so the refusal names the first q over it, as counting in order
+    would.  Then a1 and a2 are checked once, and the polynomial is read from
+    one slice sum.
+    """
+    refuse_subspaces_over_budget(profile.n, r + 1)
+    k, want1, want2 = _wanted(profile, r, a1, a2)
+    coeffs = _counting_polynomial(profile, k, want1, want2) if k <= profile.n else ()
+    return [(q, _poly_eval(coeffs, q)) for q in FIELDS], coeffs
 
 
-def dim_or_nofit(counts) -> int | str | None:
-    """dim_fit, with "nofit" in place of the NoFit error (the reports' convention)."""
-    try:
-        return dim_fit(counts)
-    except NoFit:
-        return "nofit"
+def dim_fit(coeffs) -> int | None:
+    """Dimension of a locus from its counting polynomial: the degree of coeffs.
+
+    coeffs lists the coefficients low to high with a nonzero last one, as
+    series_counts returns them; the empty locus has coeffs () and no
+    dimension, None.
+    """
+    return len(coeffs) - 1 if coeffs else None
 
 
 @dataclass(frozen=True)
@@ -402,13 +375,13 @@ def ec_descriptor_scan(m: EllipticModel, p: BNProblem) -> dict:
     report = {"order_diff": order, "descriptors": []}
     for bundle in all_descriptors(p.d):
         profile = profile_g1(bundle, diff_order=order)
-        counts = series_counts(profile, p.r, a1, a2)
+        counts, coeffs = series_counts(profile, p.r, a1, a2)
         report["descriptors"].append(
             {
                 "bundle": "generic" if bundle.a is None else f"special({bundle.a})",
                 "a": bundle.a,
                 "counts": counts,
-                "dim": dim_or_nofit(counts),
+                "dim": dim_fit(coeffs),
                 "nonempty": any(n > 0 for _, n in counts),
             }
         )

@@ -34,8 +34,8 @@ from bnseries import (
     to_vanishing,
     verify_chain,
 )
+from bnseries.gf import gaussian_binomial
 from bnseries.oracle import (
-    dim_or_nofit,
     ec_descriptor_scan,
     ec_order_diff,
     profile_complementary,
@@ -129,28 +129,47 @@ def test_criterion_4_genus0_oracle_equivalence():
                         if expected is None:
                             assert all(n == 0 for _, n in counts), (d, r, a1, a2)
                             continue
-                        assert dim_fit(counts) == expected, (d, r, a1, a2, counts)
+                        series, coeffs = series_counts(prof, r, a1.entries, a2.entries)
+                        assert series == counts, (d, r, a1, a2)
+                        assert dim_fit(coeffs) == expected, (d, r, a1, a2, coeffs)
                         if expected == 0:
                             assert len({n for _, n in counts}) == 1, (d, r, a1, a2)
 
 
 def test_criterion_4b_genus0_rank2_oracle():
-    with report("4b", "genus-0 oracle at r=2 (dim fit for d<=4, emptiness for d=5)"):
+    with report("4b", "genus-0 oracle at r=2 (exact degree, d<=5)"):
         for d in range(2, 6):
             prof = profile_complementary(d + 1)
             for a1 in all_vanishing(2, d):
                 for a2 in all_vanishing(2, d):
                     expected = richardson_dim(d, a1, a2)
-                    counts = series_counts(prof, 2, a1.entries, a2.entries)
+                    counts, coeffs = series_counts(prof, 2, a1.entries, a2.entries)
                     assert (expected is None) == all(n == 0 for _, n in counts), (d, a1, a2)
                     if expected is None:
                         continue
-                    fitted = dim_or_nofit(counts)
-                    if d <= 4:
-                        assert fitted == expected, (d, a1, a2, counts)
-                    else:
-                        # three field sizes cannot always pin degrees up to 9
-                        assert fitted in (expected, "nofit"), (d, a1, a2, counts)
+                    assert dim_fit(coeffs) == expected, (d, a1, a2, coeffs)
+
+
+def test_criterion_4c_genus0_counting_polynomials(monkeypatch):
+    # 24,208,613 subspaces at q = 4 for (n, k) = (7, 3) and (7, 4): over the default budget
+    monkeypatch.setenv("BN_ENUM_BUDGET", str(gaussian_binomial(7, 3, 4)))
+    with report("4c", "genus-0 counting polynomials at d=6, r in {2,3} (degree, leading 1, counts)"):
+        d, nonempty = 6, 0
+        prof = profile_complementary(d + 1)
+        for r in (2, 3):
+            for a1 in all_vanishing(r, d):
+                for a2 in all_vanishing(r, d):
+                    expected = richardson_dim(d, a1, a2)
+                    counts, coeffs = series_counts(prof, r, a1.entries, a2.entries)
+                    if expected is None:
+                        assert coeffs == () and all(n == 0 for _, n in counts), (r, a1, a2)
+                        continue
+                    nonempty += 1
+                    # an irreducible Richardson variety of dimension richardson_dim
+                    assert dim_fit(coeffs) == expected and coeffs[-1] == 1, (r, a1, a2, coeffs)
+                    values = [(q, sum(c * q**i for i, c in enumerate(coeffs))) for q in (2, 3, 4)]
+                    assert counts == values, (r, a1, a2)
+        assert nonempty == 980
 
 
 def test_criterion_5_genus1_oracle_equivalence():
@@ -280,7 +299,7 @@ def test_criterion_9_two_component_scan_with_oracle_base_cases():
             if p not in decided:
                 if p.g == 0:
                     a1, a2 = to_vanishing(p.alpha1).entries, to_vanishing(p.alpha2).entries
-                    counts = series_counts(profile_complementary(p.d + 1), p.r, a1, a2)
+                    counts, _ = series_counts(profile_complementary(p.d + 1), p.r, a1, a2)
                     decided[p] = any(n > 0 for _, n in counts)
                 else:
                     decided[p] = ec_g1_nonempty(general, p)

@@ -2,13 +2,15 @@
 
 The tracer (``perfbench/spans.py``) replaces module globals such as
 ``cli.enumerate_refined_strata``, ``chains.split_once`` and
-``oracle.count_series`` with counting wrappers, so a per-layer count reads 0
+``oracle.dim_fit`` with counting wrappers, so a per-layer count reads 0
 if a refactor stops calling one of them through that global.  These tests
 install the same kind of wrapper and check the counts on one request of
-each traced kind.
+each traced kind, and check that the tracer itself still installs.
 """
 
+import importlib
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -59,17 +61,34 @@ def test_sweep_splits_once_per_nonempty_point_of_genus_two_or_more(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "params, calls",
+    "params, profiles, built",
     [
-        ({"genus": 0, "r": 1, "d": 3, "a1": [0, 1], "a2": [0, 2]}, 3),
-        ({"genus": 1, "r": 1, "d": 3, "alpha1": [0, 1], "alpha2": [0, 0]}, 3 * (3 + 2)),
-        ({"genus": 1, "r": 0, "d": 2, "alpha1": [1], "alpha2": [1], "fixture": "torsion2"}, 3 * (2 + 2)),
+        ({"genus": 0, "r": 1, "d": 3, "a1": [0, 1], "a2": [0, 2]}, 1, 1),
+        ({"genus": 1, "r": 1, "d": 3, "alpha1": [0, 1], "alpha2": [0, 0]}, 3 + 2, 3 + 2),
+        # ord(P1 - P2) = 2 makes special(0) and special(2) one profile
+        ({"genus": 1, "r": 0, "d": 2, "alpha1": [1], "alpha2": [1], "fixture": "torsion2"}, 2 + 2, 3),
     ],
 )
-def test_oracle_counts_three_fields_per_profile(params, calls, monkeypatch):
+def test_oracle_builds_one_histogram_per_profile_and_reads_each_degree(params, profiles, built, monkeypatch):
     monkeypatch.setattr(oracle, "_HIST_CACHE", {})
-    counted = _count_calls(monkeypatch, oracle, "count_series")
+    histograms = _count_calls(monkeypatch, oracle, "_rank_count_histogram")
+    fits = [_count_calls(monkeypatch, module, "dim_fit") for module in (cli, oracle)]
     response, code = run({"command": "oracle-verify", "params": params})
     assert code == 0, response
-    assert len(counted) == calls
-    assert [args[0] for args in counted] == [2, 3, 4] * (calls // 3)
+    assert len(histograms) == len({args[1].orders for args in histograms}) == built
+    assert sum(map(len, fits)) == profiles
+
+
+def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    spans = importlib.import_module("spans")
+    before = {name: getattr(oracle, name) for name in ("count_series", "dim_fit")}
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert oracle.dim_fit is not before["dim_fit"]
+        response, code = run({"command": "oracle-verify", "params": {"genus": 0, "r": 1, "d": 3}})
+    finally:
+        tracer.uninstall()
+    assert {name: getattr(oracle, name) for name in before} == before
+    assert (response, code) == run({"command": "oracle-verify", "params": {"genus": 0, "r": 1, "d": 3}})

@@ -619,6 +619,25 @@ def test_oracle_verify_over_budget_builds_no_profile(params, n, monkeypatch):
     )
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="needs an int-to-str digit limit"
+)
+@pytest.mark.parametrize("r, d", [(1000, 2000), (3000, 6000)])
+def test_oracle_verify_refuses_an_unprintable_count_without_computing_it(r, d, monkeypatch):
+    # the top Schubert cell, 2^((r + 1)(d - r)) points at q = 2, is already
+    # too large to print, so the exact Gaussian binomial is never computed
+    monkeypatch.delenv("BN_ENUM_BUDGET", raising=False)
+    seq = list(range(r + 1))
+    start = time.perf_counter()
+    response, code = run({"command": "oracle-verify", "params": {"genus": 0, "r": r, "d": d, "a1": seq, "a2": seq}})
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    (diagnostic,) = response["diagnostics"]
+    assert diagnostic.startswith("InfeasibleSize: enumeration of at least 2^")
+    assert diagnostic.endswith(" subspaces exceeds the budget of 10000000")
+    assert elapsed < 0.2
+
+
 def test_closed_stdout_ends_quietly_with_exit_2():
     argv = ["sweep", "--g-max", "6", "--r-max", "2", "--d-max", "5", "--alphas", "all", "--command", "chain"]
     with subprocess.Popen(
