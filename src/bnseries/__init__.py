@@ -3,8 +3,8 @@
 The package computes the adjusted Brill-Noether number and the sharp
 two-point nonemptiness inequality, enumerates limit-series strata on
 two-component curves, constructs witness chains of elliptic components, and
-cross-checks the genus-0/1 base cases against brute-force finite-field
-oracles.
+cross-checks the genus-0/1 base cases against exact point counts over small
+finite fields, read off counting polynomials in q.
 """
 
 from .chains import (

@@ -38,14 +38,7 @@ from .core import (
     rho_from_totals,
     zero_ram,
 )
-from .oracle import (
-    dim_fit,
-    ec_descriptor_scan,
-    load_fixture,
-    profile_complementary,
-    refuse_subspaces_over_budget,
-    series_counts,
-)
+from .oracle import dim_fit, ec_descriptor_scan, g0_series_counts, load_fixture
 from .realize import classify_g1_vanishing, g0_vanishing_check, realize_g0, realize_g1, richardson_dim
 from .strata import enumerate_refined_strata, refuse_strata_over_budget
 
@@ -227,9 +220,7 @@ def _cmd_oracle_verify(params: dict):
         a1 = _vanishing(params, "a1", r, d)
         a2 = _vanishing(params, "a2", r, d)
         expected = richardson_dim(d, a1, a2)
-        refuse_subspaces_over_budget(d + 1, r + 1, 1)
-        profile = profile_complementary(d + 1)
-        counts, coeffs = series_counts(profile, r, a1.entries, a2.entries)
+        counts, coeffs = g0_series_counts(d, r, a1.entries, a2.entries)
         if expected is None:
             fitted, agree = None, not coeffs
         else:

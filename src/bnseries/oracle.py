@@ -1,4 +1,4 @@
-"""Brute-force verification oracles, independent of the combinatorial formulas.
+"""Point-counting verification oracles, independent of the combinatorial formulas.
 
 Two ingredients:
 
@@ -23,10 +23,10 @@ Two ingredients:
   digits (Kronecker substitution).  The histogram is cached per (profile
   orders, rank) together with one slice per flag-1 bound asked for: its
   entries that meet the bound, merged by flag-2 sequence, so a repeated
-  bound costs one scan of its slice.  The budget check still runs on every
-  call, before any cache lookup.  The counts over F_q for q in gf.FIELDS
-  are the polynomial's values, and the dimension of the locus is its
-  degree.
+  bound costs one scan of its slice.  Each public entry point checks the
+  budget once, before any profile is built or cache is read.  The counts
+  at q in gf.FIELDS are the polynomial's values and the locus dimension is
+  its degree; the tests check the histograms against F_q enumeration.
 
 The elliptic model supplies the genus-1 generality certificate: a concrete
 curve over a prime field with marked points whose difference has known group
@@ -300,9 +300,20 @@ def series_counts(profile: FlagProfile, r, a1, a2) -> tuple[list, tuple[int, ...
     one slice sum.
     """
     refuse_subspaces_over_budget(profile.n, r + 1)
+    return _series_counts(profile, r, a1, a2)
+
+
+def _series_counts(profile: FlagProfile, r, a1, a2) -> tuple[list, tuple[int, ...]]:
+    """series_counts past its budget gate, which the caller has run for an n >= profile.n."""
     k, want1, want2 = _wanted(profile, r, a1, a2)
     coeffs = _counting_polynomial(profile, k, want1, want2) if k <= profile.n else ()
     return [(q, _poly_eval(coeffs, q)) for q in FIELDS], coeffs
+
+
+def g0_series_counts(d: int, r, a1, a2) -> tuple[list, tuple[int, ...]]:
+    """series_counts on the genus-0 profile, complementary(d + 1), gated before it is built."""
+    refuse_subspaces_over_budget(d + 1, r + 1, 1)
+    return _series_counts(profile_complementary(d + 1), r, a1, a2)
 
 
 def dim_fit(coeffs) -> int | None:
@@ -362,7 +373,7 @@ def ec_descriptor_scan(m: EllipticModel, p: BNProblem) -> dict:
     Uses the model's actual difference order, so a torsion pair makes
     coinciding special bundles (and their degenerate loci) visible.  Every
     profile has n = h^0(L) <= max(d, 1) (n = d for d >= 1), and there are
-    d + 2 of them, so an over-budget request is refused before any is built.
+    d + 2 of them, so one gate refuses an over-budget request before any is built.
     """
     if p.g != 1:
         raise ValueError("the descriptor scan is a genus-1 oracle")
@@ -375,7 +386,7 @@ def ec_descriptor_scan(m: EllipticModel, p: BNProblem) -> dict:
     report = {"order_diff": order, "descriptors": []}
     for bundle in all_descriptors(p.d):
         profile = profile_g1(bundle, diff_order=order)
-        counts, coeffs = series_counts(profile, p.r, a1, a2)
+        counts, coeffs = _series_counts(profile, p.r, a1, a2)
         report["descriptors"].append(
             {
                 "bundle": "generic" if bundle.a is None else f"special({bundle.a})",

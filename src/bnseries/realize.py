@@ -17,16 +17,10 @@ for at most one j; equality at j forces L = O(a1_j P1 + a2_{r-j} P2).
 All linear algebra is exact over the rationals.
 """
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from types import SimpleNamespace
 
 from .core import VanishingSeq, gaps
-from .gf import lead_positions
-
-# the field operations gf.lead_positions uses, over the rationals
-_RATIONALS = SimpleNamespace(inv=lambda a: Fraction(1, a), mul=operator.mul, sub=operator.sub)
 
 
 class DegenerateBasis(ValueError):
@@ -103,6 +97,35 @@ def realize_g0(r: int, d: int, a1: VanishingSeq, a2: VanishingSeq) -> G0Series |
     return G0Series(d, tuple(rows))
 
 
+def lead_positions(rows, col_order) -> list[int]:
+    """Leading-column positions (indices into col_order) after elimination.
+
+    Scans columns in the given order; the first remaining row nonzero in a
+    column is its pivot, eliminated from the other remaining rows.  Dependent
+    rows get no position.  Entries are field elements under /, *, - and truth
+    tests, such as Fractions (ints would divide into floats).
+    """
+    work = [list(row) for row in rows]
+    leads = []
+    for pos, col in enumerate(col_order):
+        for i, row in enumerate(work):
+            if row[col]:
+                break
+        else:
+            continue
+        pivot = work.pop(i)
+        leads.append(pos)
+        if not work:
+            break  # every row has its pivot; no later column can lead
+        for row in work:
+            if row[col]:
+                factor = row[col] / pivot[col]
+                for c, x in enumerate(pivot):
+                    if x:
+                        row[c] = row[c] - factor * x
+    return leads
+
+
 def g0_vanishing_check(s: G0Series) -> tuple[VanishingSeq, VanishingSeq]:
     """Exact vanishing sequences of the span at 0 and infinity.
 
@@ -111,9 +134,9 @@ def g0_vanishing_check(s: G0Series) -> tuple[VanishingSeq, VanishingSeq]:
     lead positions are the orders of an adapted basis.  Raises
     DegenerateBasis for dependent input.
     """
-    rows = [list(row) for row in s.basis]
-    at0 = lead_positions(_RATIONALS, rows, list(range(s.d + 1)))
-    at_inf = lead_positions(_RATIONALS, rows, list(range(s.d, -1, -1)))
+    rows = [[Fraction(x) if x else 0 for x in row] for row in s.basis]
+    at0 = lead_positions(rows, range(s.d + 1))
+    at_inf = lead_positions(rows, range(s.d, -1, -1))
     if len(at0) < len(s.basis) or len(at_inf) < len(s.basis):
         raise DegenerateBasis("basis polynomials are linearly dependent")
     return VanishingSeq(tuple(at0), s.d), VanishingSeq(tuple(at_inf), s.d)

@@ -79,6 +79,25 @@ def test_oracle_builds_one_histogram_per_profile_and_reads_each_degree(params, p
     assert sum(map(len, fits)) == profiles
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"genus": 0, "r": 1, "d": 3, "a1": [0, 1], "a2": [0, 2]},
+        {"genus": 1, "r": 1, "d": 3, "alpha1": [0, 1], "alpha2": [0, 0]},
+        {"genus": 1, "r": 0, "d": 0, "alpha1": [0], "alpha2": [0]},
+    ],
+)
+def test_oracle_runs_the_subspace_gate_once_per_request(params, monkeypatch):
+    gates = [
+        _count_calls(monkeypatch, module, "refuse_subspaces_over_budget")
+        for module in (cli, oracle)
+        if hasattr(module, "refuse_subspaces_over_budget")
+    ]
+    response, code = run({"command": "oracle-verify", "params": params})
+    assert code == 0, response
+    assert sum(map(len, gates)) == 1
+
+
 def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
     spans = importlib.import_module("spans")

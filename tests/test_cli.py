@@ -605,11 +605,11 @@ def _never(*args, **kwargs):
     ],
 )
 def test_oracle_verify_over_budget_builds_no_profile(params, n, monkeypatch):
-    from bnseries import cli, oracle
+    from bnseries import oracle
     from bnseries.gf import gaussian_binomial
 
     monkeypatch.delenv("BN_ENUM_BUDGET", raising=False)
-    monkeypatch.setattr(cli, "profile_complementary", _never)
+    monkeypatch.setattr(oracle, "profile_complementary", _never)
     monkeypatch.setattr(oracle, "profile_g1", _never)
     response, code = run({"command": "oracle-verify", "params": params})
     size = gaussian_binomial(n, 1, 2)  # q = 2 is already over budget

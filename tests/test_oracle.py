@@ -20,9 +20,10 @@ from bnseries import (
 )
 from bnseries import oracle
 from bnseries.cli import _dump, run
-from bnseries.gf import FIELDS, gaussian_binomial, gf, lead_positions, rref_matrices
+from bnseries.gf import FIELDS, gaussian_binomial
 from bnseries.oracle import all_descriptors, ec_descriptor_scan, series_counts
-from bnseries.realize import generic_bundle, special_bundle
+from bnseries.realize import generic_bundle, lead_positions, special_bundle
+from gf_reference import field_rows, rref_matrices
 
 
 # The table path, kept as the reference for the closed-form profiles: a pair
@@ -220,7 +221,6 @@ def test_count_series_rejects_bad_input():
 
 def _count_lines_directly(q, profile, a1, a2):
     """Independent line count: scan nonzero vectors, no echelon machinery."""
-    field = gf(q)
     orders = basis_orders(profile)
     n = profile.n
     total = 0
@@ -260,7 +260,7 @@ def _enumerated_histogram(q, profile, k):
     hist = {}
     for pivots, rows in rref_matrices(q, n, k):
         b1 = tuple(o1_of_col[c] for c in pivots)
-        leads = lead_positions(gf(q), rows, cols_by_o2)
+        leads = lead_positions(field_rows(q, rows), cols_by_o2)
         pair = (b1, tuple(o2_of_col[cols_by_o2[pos]] for pos in leads))
         hist[pair] = hist.get(pair, 0) + 1
     return hist

@@ -60,6 +60,11 @@ def test_g0_vanishing_check_examples():
     at0, _ = g0_vanishing_check(s)
     assert at0.entries == (1, 2)
 
+    s = G0Series(2, ((2, 1, 0), (4, 2, 1)))  # the pivot 2 is not a unit of Z
+    at0, at_inf = g0_vanishing_check(s)
+    assert at0.entries == (0, 2)
+    assert at_inf.entries == (0, 1)
+
 
 def test_g0_vanishing_check_rejects_dependent():
     with pytest.raises(DegenerateBasis):

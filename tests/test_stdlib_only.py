@@ -1,0 +1,33 @@
+"""The library is pure stdlib: every import in src/bnseries is a stdlib module or a sibling."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parents[1] / "src" / "bnseries").glob("*.py"))
+
+
+def _foreign_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                continue  # from .sibling import ...
+            names = [node.module or ""] if node.level == 0 else ["." * node.level]
+        else:
+            continue
+        for name in names:
+            if name.partition(".")[0] not in sys.stdlib_module_names:
+                yield node.lineno, name
+
+
+def test_sources_found():
+    assert {path.name for path in SOURCES} >= {"__init__.py", "cli.py", "gf.py", "oracle.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_imports_are_stdlib_or_siblings(path):
+    assert list(_foreign_imports(path)) == []
