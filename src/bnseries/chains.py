@@ -23,9 +23,10 @@ each new chain costs one split.
 """
 
 import json
-from dataclasses import dataclass
 
-from .core import BNProblem, RamSeq, criterion_excess, nonempty_criterion, rho, rho_from_totals
+from .core import (
+    BNProblem, RamSeq, _set, _Value, criterion_excess, nonempty_criterion, rho, rho_from_totals
+)
 from .strata import complement_entries, refined_complement
 
 
@@ -33,8 +34,7 @@ class ConstructionFailed(RuntimeError):
     """No candidate split validates; must not happen when the criterion holds."""
 
 
-@dataclass(frozen=True)
-class ChainComponent:
+class ChainComponent(_Value):
     """One component of a chain, marked on the left and right.
 
     Only structural validity is enforced here; the base-case criterion, the
@@ -43,15 +43,17 @@ class ChainComponent:
     rejected.
     """
 
-    genus: int
-    left_ram: RamSeq
-    right_ram: RamSeq
-    component_rho: int
+    __slots__ = _fields = ("genus", "left_ram", "right_ram", "component_rho")
 
-    def __post_init__(self):
-        if self.genus not in (0, 1):
+    def __init__(self, genus, left_ram, right_ram, component_rho):
+        _set(self, "genus", genus)
+        _set(self, "left_ram", left_ram)
+        _set(self, "right_ram", right_ram)
+        _set(self, "component_rho", component_rho)
+        _set(self, "_key", (genus, left_ram, right_ram, component_rho))
+        if genus not in (0, 1):
             raise ValueError("chain components have genus 0 or 1")
-        if (self.left_ram.r, self.left_ram.d) != (self.right_ram.r, self.right_ram.d):
+        if left_ram.d != right_ram.d or len(left_ram.entries) != len(right_ram.entries):
             raise ValueError("left/right sequences must share the (r, d) context")
 
 
@@ -60,18 +62,19 @@ def make_component(genus: int, left_ram: RamSeq, right_ram: RamSeq) -> ChainComp
     return ChainComponent(genus, left_ram, right_ram, rho_value)
 
 
-@dataclass(frozen=True)
-class ChainWitness:
-    r: int
-    d: int
-    components: tuple[ChainComponent, ...]
-    total_rho: int
+class ChainWitness(_Value):
+    __slots__ = _fields = ("r", "d", "components", "total_rho")
 
-    def __post_init__(self):
-        if not self.components:
+    def __init__(self, r, d, components, total_rho):
+        _set(self, "r", r)
+        _set(self, "d", d)
+        _set(self, "components", components)
+        _set(self, "total_rho", total_rho)
+        _set(self, "_key", (r, d, components, total_rho))
+        if not components:
             raise ValueError("a chain needs at least one component")
-        for c in self.components:
-            if (c.left_ram.r, c.left_ram.d) != (self.r, self.d):
+        for c in components:
+            if (c.left_ram.r, c.left_ram.d) != (r, d):
                 raise ValueError("component context does not match the chain")
 
 

@@ -11,13 +11,11 @@ an exhausted enumeration budget.  Any command can also be driven by a single
 request document via --json.  All output is byte-deterministic.
 """
 
-import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
 from math import comb
-from pathlib import Path
-from typing import Iterator
 
 from .chains import (
     build_chain,
@@ -181,7 +179,7 @@ def _cmd_realize(params: dict):
     a1 = _vanishing(params, "a1", r, d)
     a2 = _vanishing(params, "a2", r, d)
     if genus == 0:
-        # r + 1 rows of d + 1 rationals, eliminated column by column against each other
+        # r + 1 rows of d + 1 integers, eliminated column by column against each other
         refuse_over_budget((r + 1) ** 2 * (d + 1), "elimination entries")
         series = realize_g0(r, d, a1, a2)
         if series is None:
@@ -388,12 +386,12 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise InvalidRequest(message)
+def _build_parser():
+    import argparse  # here, not at the top: only main() parses a command line
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise InvalidRequest(message)
 
-
-def _build_parser() -> _Parser:
     parser = _Parser(prog="bnseries", description=__doc__)
     parser.add_argument(
         "--json",
@@ -429,6 +427,7 @@ def _request_from_args(args) -> dict:
         # --verify without --witness-file reads the witness from stdin
         path = params.pop("witness_file", "-" if args.verify else None)
         if path is not None:
+            from pathlib import Path  # only this request reads a file
             try:
                 text = sys.stdin.read() if path == "-" else Path(path).read_text()
             except OSError as exc:

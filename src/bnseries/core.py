@@ -27,12 +27,15 @@ Conventions used throughout the package:
 All arithmetic is exact.  ``refuse_over_budget`` is the one check of the
 enumeration budget that bounds every request; every other function in this
 module is pure and safe to call concurrently.
+
+Every value class of the package derives from the private ``_Value``:
+immutable ``__slots__`` fields, equality within one class and the field
+tuple as hash, without the import cost of ``dataclasses``.
 """
 
 import os
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import combinations_with_replacement
-from typing import Iterator
 
 DEFAULT_ENUM_BUDGET = 10**7
 
@@ -62,8 +65,44 @@ def refuse_over_budget(size: int, unit: str, at_least: bool = False) -> None:
         raise InfeasibleSize(f"enumeration of {bound}{text} {unit} exceeds the budget of {limit}")
 
 
-@dataclass(frozen=True, init=False)
-class _Seq:
+_set = object.__setattr__  # how a value class's __init__ sets its fields
+
+
+class _Value:
+    """Immutable value: the fields named in _fields, kept in __slots__.
+
+    A subclass's __init__ sets each field with _set and their tuple as _key
+    (_store does both, more slowly), then validates.  Values of one class are
+    equal when their keys are, and copies and pickles go through __init__.
+    """
+
+    __slots__ = ("_key",)
+
+    def _store(self, key):
+        _set(self, "_key", key)
+        for name, value in zip(self._fields, key):
+            _set(self, name, value)
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete field {name!r} of an immutable value")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._key
+
+
+class _Seq(_Value):
     """Validated integer sequence with its (r, d) context; r is len(entries) - 1.
 
     Subclasses set the bound (entries lie in [0, d - _shift * r]), the order
@@ -71,31 +110,36 @@ class _Seq:
     the messages (_kind, _order, and the _outside format).
     """
 
-    entries: tuple[int, ...]
-    d: int
+    __slots__ = _fields = ("entries", "d")
 
-    # written out rather than generated: the generated one would set both
-    # fields, call __post_init__ and have it set them again, and scans such as
-    # all_ram_seqs build one sequence per item
+    # valid entries cost one comparison each (scans build many); _reject words a bad one
     def __init__(self, entries, d):
         entries = tuple(map(int, entries))
         d = int(d)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "d", d)
-        if len(entries) == 0:
+        _set(self, "entries", entries)
+        _set(self, "d", d)
+        _set(self, "_key", (entries, d))
+        if not entries:
             raise ValueError(f"{self._kind} sequence must be nonempty")
         r = len(entries) - 1
         if not 0 <= r <= d:
             raise ValueError(f"need 0 <= r <= d, got r={r}, d={d}")
         bound = d - self._shift * r
         step = self._step
-        low = 0  # the least value the next entry may take
-        for j, a in enumerate(entries):
+        low = 0  # the least value the next entry may take, never negative
+        for a in entries:
+            if not low <= a <= bound:
+                self._reject(bound)
+            low = a + step
+
+    def _reject(self, bound):
+        r, d, low = self.r, self.d, 0
+        for j, a in enumerate(self.entries):
             if not 0 <= a <= bound:
                 raise ValueError(self._outside.format(j=j, a=a, bound=bound, r=r, d=d))
             if a < low:
                 raise ValueError(f"entries not {self._order} at index {j}")
-            low = a + step
+            low = a + self._step
 
     @property
     def r(self) -> int:
@@ -114,6 +158,7 @@ class _Seq:
 class RamSeq(_Seq):
     """Ramification sequence: nondecreasing entries alpha_j in [0, d - r]."""
 
+    __slots__ = ()
     _kind = "ramification"
     _shift = 1
     _step = 0
@@ -127,6 +172,7 @@ class RamSeq(_Seq):
 class VanishingSeq(_Seq):
     """Strictly increasing vanishing orders a_0 < ... < a_r in [0, d]."""
 
+    __slots__ = ()
     _kind = "vanishing"
     _shift = 0
     _step = 1
@@ -144,22 +190,23 @@ def from_vanishing(a: VanishingSeq) -> RamSeq:
     return RamSeq(tuple(x - j for j, x in enumerate(a)), a.d)
 
 
-@dataclass(frozen=True)
-class BNProblem:
+class BNProblem(_Value):
     """A two-point problem (g, r, d, alpha1, alpha2).
 
     ``alpha1`` and ``alpha2`` are the minimal ramification imposed at the two
     marked points; both must be valid in the (r, d) context.
     """
 
-    g: int
-    r: int
-    d: int
-    alpha1: RamSeq
-    alpha2: RamSeq
+    __slots__ = _fields = ("g", "r", "d", "alpha1", "alpha2")
 
-    def __post_init__(self):
-        validate_problem(self.g, self.r, self.d, self.alpha1, self.alpha2)
+    def __init__(self, g, r, d, alpha1, alpha2):
+        _set(self, "g", g)
+        _set(self, "r", r)
+        _set(self, "d", d)
+        _set(self, "alpha1", alpha1)
+        _set(self, "alpha2", alpha2)
+        _set(self, "_key", (g, r, d, alpha1, alpha2))
+        validate_problem(g, r, d, alpha1, alpha2)
 
 
 def validate_problem(g: int, r: int, d: int, alpha1: RamSeq, alpha2: RamSeq) -> None:
@@ -171,7 +218,7 @@ def validate_problem(g: int, r: int, d: int, alpha1: RamSeq, alpha2: RamSeq) -> 
     for name, alpha in (("alpha1", alpha1), ("alpha2", alpha2)):
         if not isinstance(alpha, RamSeq):
             raise ValueError(f"{name} must be a RamSeq")
-        if alpha.d != d or alpha.r != r:
+        if alpha.d != d or len(alpha.entries) != r + 1:  # alpha.r, without the property call
             raise ValueError(
                 f"{name} has context (r={alpha.r}, d={alpha.d}), expected (r={r}, d={d})"
             )

@@ -6,8 +6,8 @@ Everything here is brute-force exact arithmetic at desk scale: point orders
 are found by repeated addition, and fixture models by direct search.
 """
 
+from collections.abc import Iterator
 from math import isqrt
-from typing import Iterator
 
 Point = tuple[int, int] | None
 

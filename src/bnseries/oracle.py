@@ -35,19 +35,17 @@ reproduces the excluded degeneration where two special bundles coincide.
 """
 
 import json
-from dataclasses import dataclass
+import os
 from functools import lru_cache
-from importlib import resources
 from operator import ge
 
-from .core import BNProblem, VanishingSeq, refuse_over_budget, to_vanishing
+from .core import BNProblem, VanishingSeq, _set, _Value, refuse_over_budget, to_vanishing
 from .elliptic import discriminant, ec_add, ec_neg, is_on_curve, is_prime, point_order
 from .gf import FIELDS, gaussian_binomial
 from .realize import LineBundleDescriptor, generic_bundle, special_bundle
 
 
-@dataclass(frozen=True)
-class FlagProfile:
+class FlagProfile(_Value):
     """Relative position of two vanishing flags in dimension n.
 
     orders holds the n vanishing-order pairs (o1, o2) of a coordinate model,
@@ -57,12 +55,13 @@ class FlagProfile:
     at a time by ``profile(k1, k2)``.
     """
 
-    n: int
-    orders: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("n", "orders")
 
-    def __post_init__(self):
-        n, orders = self.n, tuple(sorted((o1, o2) for o1, o2 in self.orders))
-        object.__setattr__(self, "orders", orders)
+    def __init__(self, n, orders):
+        orders = tuple(sorted((o1, o2) for o1, o2 in orders))
+        _set(self, "n", n)
+        _set(self, "orders", orders)
+        _set(self, "_key", (n, orders))
         if n < 0:
             raise ValueError("profile dimension must be >= 0")
         if len(orders) != n:
@@ -326,34 +325,27 @@ def dim_fit(coeffs) -> int | None:
     return len(coeffs) - 1 if coeffs else None
 
 
-@dataclass(frozen=True)
-class EllipticModel:
+class EllipticModel(_Value):
     """A curve y^2 = x^3 + a x + b over F_p with marked points P1, P2.
 
     ``order_diff`` records the group order of P1 - P2; it is stored with the
     fixture and checked against ec_order_diff when the model is built.
     """
 
-    p: int
-    a: int
-    b: int
-    p1: tuple[int, int]
-    p2: tuple[int, int]
-    order_diff: int
+    __slots__ = _fields = ("p", "a", "b", "p1", "p2", "order_diff")
 
-    def __post_init__(self):
-        object.__setattr__(self, "p1", tuple(self.p1))
-        object.__setattr__(self, "p2", tuple(self.p2))
-        if self.p < 5 or not is_prime(self.p):
-            raise ValueError(f"{self.p} is not an odd prime >= 5")
-        if discriminant(self.p, self.a, self.b) == 0:
+    def __init__(self, p, a, b, p1, p2, order_diff):
+        self._store((p, a, b, tuple(p1), tuple(p2), order_diff))
+        if p < 5 or not is_prime(p):
+            raise ValueError(f"{p} is not an odd prime >= 5")
+        if discriminant(p, a, b) == 0:
             raise ValueError("curve is singular")
         for pt in (self.p1, self.p2):
-            if not is_on_curve(self.p, self.a, self.b, pt):
+            if not is_on_curve(p, a, b, pt):
                 raise ValueError(f"point {pt} is not on the curve")
         order = ec_order_diff(self)
-        if self.order_diff != order:
-            raise ValueError(f"stored order_diff {self.order_diff} != ord(P1 - P2) = {order}")
+        if order_diff != order:
+            raise ValueError(f"stored order_diff {order_diff} != ord(P1 - P2) = {order}")
 
 
 def ec_order_diff(m: EllipticModel) -> int:
@@ -415,8 +407,9 @@ def load_fixture(name: str) -> EllipticModel:
 
     Models are cached by name; an unknown name raises KeyError on every call.
     """
-    text = resources.files(__package__).joinpath("fixtures/elliptic_models.json").read_text()
-    data = json.loads(text)
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "elliptic_models.json")
+    with open(path, encoding="utf-8") as f:
+        data = json.load(f)
     entry = data["models"][name]
     return EllipticModel(
         entry["p"],

@@ -14,50 +14,49 @@ the marked points do not differ by m-torsion for m <= d, a series with
 vanishing (a1, a2) exists iff a1_j + a2_{r-j} <= d for all j with equality
 for at most one j; equality at j forces L = O(a1_j P1 + a2_{r-j} P2).
 
-All linear algebra is exact over the rationals.
+All linear algebra is exact and division-free, so integer rows stay integer.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
-from .core import VanishingSeq, gaps
+from .core import VanishingSeq, _set, _Value, gaps
 
 
 class DegenerateBasis(ValueError):
     """The polynomial tuple is linearly dependent."""
 
 
-@dataclass(frozen=True)
-class G0Series:
+class G0Series(_Value):
     """Basis of polynomials, each a coefficient vector c_0..c_d (low to high)."""
 
-    d: int
-    basis: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("d", "basis")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "basis", tuple(tuple(row) for row in self.basis)
-        )
-        for row in self.basis:
-            if len(row) != self.d + 1:
-                raise ValueError(f"coefficient vectors must have length d+1={self.d + 1}")
+    def __init__(self, d, basis):
+        basis = tuple(tuple(row) for row in basis)
+        _set(self, "d", d)
+        _set(self, "basis", basis)
+        _set(self, "_key", (d, basis))
+        for row in basis:
+            if len(row) != d + 1:
+                raise ValueError(f"coefficient vectors must have length d+1={d + 1}")
 
 
-@dataclass(frozen=True)
-class LineBundleDescriptor:
+class LineBundleDescriptor(_Value):
     """Degree-d line bundle on a genus-1 curve: O(a P1 + (d-a) P2) or generic.
 
     ``a is None`` means a bundle not of the form O(a P1 + (d-a) P2) for any a.
     """
 
-    d: int
-    a: int | None
+    __slots__ = _fields = ("d", "a")
 
-    def __post_init__(self):
-        if self.d < 0:
+    def __init__(self, d, a):
+        _set(self, "d", d)
+        _set(self, "a", a)
+        _set(self, "_key", (d, a))
+        if d < 0:
             raise ValueError("degree must be nonnegative")
-        if self.a is not None and not 0 <= self.a <= self.d:
-            raise ValueError(f"special descriptor needs 0 <= a <= d, got a={self.a}")
+        if a is not None and not 0 <= a <= d:
+            raise ValueError(f"special descriptor needs 0 <= a <= d, got a={a}")
 
     @property
     def is_special(self) -> bool:
@@ -101,9 +100,11 @@ def lead_positions(rows, col_order) -> list[int]:
     """Leading-column positions (indices into col_order) after elimination.
 
     Scans columns in the given order; the first remaining row nonzero in a
-    column is its pivot, eliminated from the other remaining rows.  Dependent
-    rows get no position.  Entries are field elements under /, *, - and truth
-    tests, such as Fractions (ints would divide into floats).
+    column is its pivot, eliminated from the other remaining rows without
+    division: row <- pivot[col] * row - row[col] * pivot.  Dependent rows get
+    no position.  Entries need only *, - and truth tests; as pivot entries are
+    nonzero, leads are those over any field holding them (F_q elements too).
+    An updated row of ints is divided by its gcd, so it stays minor-sized.
     """
     work = [list(row) for row in rows]
     leads = []
@@ -117,26 +118,26 @@ def lead_positions(rows, col_order) -> list[int]:
         leads.append(pos)
         if not work:
             break  # every row has its pivot; no later column can lead
+        p = pivot[col]
         for row in work:
-            if row[col]:
-                factor = row[col] / pivot[col]
-                for c, x in enumerate(pivot):
-                    if x:
-                        row[c] = row[c] - factor * x
+            f = row[col]
+            if f:
+                row[:] = [p * x - f * y for x, y in zip(row, pivot)]
+                if all(type(x) is int for x in row) and (g := gcd(*row)) > 1:
+                    row[:] = [x // g for x in row]
     return leads
 
 
 def g0_vanishing_check(s: G0Series) -> tuple[VanishingSeq, VanishingSeq]:
     """Exact vanishing sequences of the span at 0 and infinity.
 
-    Row-reduces the coefficient matrix over the rationals in increasing-power
-    order for the point 0 and in decreasing-power order for infinity; the
-    lead positions are the orders of an adapted basis.  Raises
-    DegenerateBasis for dependent input.
+    Row-reduces the coefficient rows with lead_positions (integer rows stay
+    small; Fraction rows work but are not reduced) in increasing-power order
+    for 0 and in decreasing-power order for infinity; the lead positions are
+    the orders of an adapted basis.  Raises DegenerateBasis for dependent input.
     """
-    rows = [[Fraction(x) if x else 0 for x in row] for row in s.basis]
-    at0 = lead_positions(rows, range(s.d + 1))
-    at_inf = lead_positions(rows, range(s.d, -1, -1))
+    at0 = lead_positions(s.basis, range(s.d + 1))
+    at_inf = lead_positions(s.basis, range(s.d, -1, -1))
     if len(at0) < len(s.basis) or len(at_inf) < len(s.basis):
         raise DegenerateBasis("basis polynomials are linearly dependent")
     return VanishingSeq(tuple(at0), s.d), VanishingSeq(tuple(at_inf), s.d)

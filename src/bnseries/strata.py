@@ -19,18 +19,12 @@ the glued problem (the node sequences sum to (r + 1)(d - r)); the ``strata``
 command emits those invariants without computing them.
 """
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Callable, Iterator
 
 from .core import (
-    BNProblem,
-    RamSeq,
-    gaps,
-    refuse_over_budget,
-    rho_from_totals,
-    validate_problem,
+    BNProblem, RamSeq, _set, _Value, gaps, refuse_over_budget, rho_from_totals, validate_problem
 )
 
 
@@ -56,23 +50,21 @@ def refined_complement(alpha_y: RamSeq) -> RamSeq:
     return RamSeq(complement_entries(alpha_y.entries, alpha_y.d - alpha_y.r), alpha_y.d)
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(_Value):
     """A compatible node pair (alpha_y, alpha_z); rejects incompatible pairs."""
 
-    alpha_y: RamSeq
-    alpha_z: RamSeq
-    # sum of the node gaps, all of them nonnegative once the pair is accepted
-    _excess: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("alpha_y", "alpha_z", "_excess")  # _excess: the sum of the node gaps, all >= 0
+    _fields = __slots__[:2]
 
-    def __post_init__(self):
-        node_gaps = _node_gaps(self.alpha_y, self.alpha_z)
+    def __init__(self, alpha_y, alpha_z):
+        self._store((alpha_y, alpha_z))
+        node_gaps = _node_gaps(alpha_y, alpha_z)
         if min(node_gaps) < 0:
             raise ValueError(
-                f"incompatible node pair {self.alpha_y.entries} / "
-                f"{self.alpha_z.entries} for (r={self.alpha_y.r}, d={self.alpha_y.d})"
+                f"incompatible node pair {alpha_y.entries} / "
+                f"{alpha_z.entries} for (r={alpha_y.r}, d={alpha_y.d})"
             )
-        object.__setattr__(self, "_excess", sum(node_gaps))
+        _set(self, "_excess", sum(node_gaps))
 
     @property
     def refined(self) -> bool:
@@ -108,26 +100,21 @@ def fiber_dim_bound(s: Stratum) -> int:
     return s._excess
 
 
-@dataclass(frozen=True)
-class TwoComponentProblem:
+class TwoComponentProblem(_Value):
     """Marked two-component curve: genus g_y and g_z components glued at a node.
 
     ``alpha1`` is imposed at a marked point of Y, ``alpha2`` at a marked point
     of Z.
     """
 
-    g_y: int
-    g_z: int
-    r: int
-    d: int
-    alpha1: RamSeq
-    alpha2: RamSeq
+    __slots__ = _fields = ("g_y", "g_z", "r", "d", "alpha1", "alpha2")
 
-    def __post_init__(self):
-        if self.g_y < 0 or self.g_z < 0:
+    def __init__(self, g_y, g_z, r, d, alpha1, alpha2):
+        self._store((g_y, g_z, r, d, alpha1, alpha2))
+        if g_y < 0 or g_z < 0:
             raise ValueError("component genera must be nonnegative")
         # the checks of glued_problem, without building it
-        validate_problem(self.g_y + self.g_z, self.r, self.d, self.alpha1, self.alpha2)
+        validate_problem(g_y + g_z, r, d, alpha1, alpha2)
 
 
 def glued_problem(p: TwoComponentProblem) -> BNProblem:

@@ -1,8 +1,10 @@
 """Brute-force reference over F2, F3 and F4, which the library does not need.
 
 GF elements take +, -, *, / and truth tests, so realize.lead_positions
-eliminates over F_q as it does over the rationals, and rref_matrices yields
+eliminates over F_q as it does over the integers, and rref_matrices yields
 every canonical basis of every k-subspace of F_q^n for the oracle to match.
+rank is a separate elimination, with division, that shares no code with
+lead_positions, so the oracle's reference tallies do not depend on it.
 """
 
 from itertools import combinations, product
@@ -76,3 +78,21 @@ def rref_matrices(q: int, n: int, k: int):
             for (i, j), v in zip(free, values):
                 rows[i][j] = v
             yield pivots, rows
+
+
+def rank(rows) -> int:
+    """Rank of rows of F_q elements.
+
+    Each row in turn is scaled to a leading 1 and cleared from the rows left.
+    """
+    work = list(rows)
+    found = 0
+    while work:
+        row = work.pop()
+        c = next((c for c, x in enumerate(row) if x), None)
+        if c is None:
+            continue
+        found += 1
+        row = [x / row[c] for x in row]
+        work = [[x - other[c] * y for x, y in zip(other, row)] for other in work]
+    return found

@@ -1,8 +1,8 @@
-from dataclasses import replace
-
 import pytest
 
 from bnseries import (
+    ChainComponent,
+    ChainWitness,
     RamSeq,
     all_problems,
     all_ram_seqs,
@@ -94,8 +94,8 @@ def test_verify_rejects_perturbed_node():
     p = problem(3, 1, 3)
     w = build_chain(p)
     c0 = w.components[0]
-    bumped = replace(c0, right_ram=RamSeq((1, 2), 3))
-    tampered = replace(w, components=(bumped,) + w.components[1:])
+    bumped = ChainComponent(c0.genus, c0.left_ram, RamSeq((1, 2), 3), c0.component_rho)
+    tampered = ChainWitness(w.r, w.d, (bumped,) + w.components[1:], w.total_rho)
     violations = chain_violations(tampered, p)
     assert violations
     assert any("complement" in v for v in violations)
@@ -105,7 +105,7 @@ def test_verify_rejects_perturbed_node():
 def test_verify_rejects_wrong_rho_and_endpoints():
     p = problem(3, 1, 3)
     w = build_chain(p)
-    bad_rho = replace(w, total_rho=w.total_rho + 1)
+    bad_rho = ChainWitness(w.r, w.d, w.components, w.total_rho + 1)
     assert any("total rho" in v for v in chain_violations(bad_rho, p))
     other = problem(3, 1, 3, (0, 1), (0, 0))
     assert any("alpha1" in v for v in chain_violations(w, other))
@@ -114,7 +114,7 @@ def test_verify_rejects_wrong_rho_and_endpoints():
 def test_verify_rejects_wrong_genus_layout():
     p = problem(2, 1, 3)
     w = build_chain(p)
-    squashed = replace(w, components=w.components[:1], total_rho=w.components[0].component_rho)
+    squashed = ChainWitness(w.r, w.d, w.components[:1], w.components[0].component_rho)
     assert any("genus-1 components" in v for v in chain_violations(squashed, p))
 
 

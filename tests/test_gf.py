@@ -70,6 +70,6 @@ def test_lead_positions_examples():
     # dependent directions collapse after elimination
     rows = field_rows(2, [[1, 1, 0], [0, 1, 1]])
     assert lead_positions(rows, [0, 1, 2]) == [0, 1]
-    # over F3, (1, 2, 0) = 2 * (2, 1, 0): the non-unit pivot divides it out
+    # over F3, (1, 2, 0) = 2 * (2, 1, 0): the pivot 2 scales the other row before it subtracts
     rows = field_rows(3, [[2, 1, 0], [1, 2, 0]])
     assert lead_positions(rows, [0, 1, 2]) == [0]

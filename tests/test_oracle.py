@@ -23,7 +23,7 @@ from bnseries.cli import _dump, run
 from bnseries.gf import FIELDS, gaussian_binomial
 from bnseries.oracle import all_descriptors, ec_descriptor_scan, series_counts
 from bnseries.realize import generic_bundle, lead_positions, special_bundle
-from gf_reference import field_rows, rref_matrices
+from gf_reference import field_rows, rank, rref_matrices
 
 
 # The table path, kept as the reference for the closed-form profiles: a pair
@@ -250,7 +250,14 @@ def test_count_series_matches_direct_line_count():
 
 
 def _enumerated_histogram(q, profile, k):
-    """Reference tally: every canonical basis, eliminated in flag-2 order."""
+    """Reference tally: every canonical basis W, with its flag-2 sequence read off ranks.
+
+    The subspace F_t spanned by the coordinates with o2 >= t meets W in
+    dimension k - rank(W's coordinates with o2 < t), and t is in the flag-2
+    sequence exactly when that dimension drops from t to t + 1.  The
+    tally uses no elimination of the library's; realize.lead_positions,
+    eliminating over F_q in flag-2 order, is checked against it on every W.
+    """
     n = profile.n
     orders = basis_orders(profile)
     by1 = sorted(range(n), key=lambda i: orders[i][0])
@@ -260,9 +267,15 @@ def _enumerated_histogram(q, profile, k):
     hist = {}
     for pivots, rows in rref_matrices(q, n, k):
         b1 = tuple(o1_of_col[c] for c in pivots)
-        leads = lead_positions(field_rows(q, rows), cols_by_o2)
-        pair = (b1, tuple(o2_of_col[cols_by_o2[pos]] for pos in leads))
-        hist[pair] = hist.get(pair, 0) + 1
+        elements = field_rows(q, rows)
+        meet = [k] + [  # F_0 is everything, F_(n+1) is 0
+            k - rank([[x for x, o2 in zip(row, o2_of_col) if o2 < t] for row in elements])
+            for t in range(1, n + 1)
+        ] + [0]
+        b2 = tuple(t for t in range(n + 1) if meet[t] > meet[t + 1])
+        leads = lead_positions(elements, cols_by_o2)
+        assert tuple(o2_of_col[cols_by_o2[pos]] for pos in leads) == b2, (q, rows)
+        hist[b1, b2] = hist.get((b1, b2), 0) + 1
     return hist
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -76,6 +77,31 @@ def test_g0_vanishing_check_accepts_fractions():
     at0, at_inf = g0_vanishing_check(s)
     assert at0.entries == (0, 1)
     assert at_inf.entries == (1, 2)
+
+
+def _orders_by_division(rows):
+    """Vanishing orders at 0 of the span of integer rows, by elimination over the rationals."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    orders = []
+    for col in range(len(rows[0])):
+        pivot = next((row for row in rows if row[col]), None)
+        if pivot is not None:
+            rows.remove(pivot)
+            orders.append(col)
+            rows = [[x - row[col] / pivot[col] * y for x, y in zip(row, pivot)] for row in rows]
+    return orders
+
+
+def test_g0_vanishing_check_dense_integer_basis():
+    # Division-free elimination keeps integer rows primitive; without that
+    # step the entries of a dense basis double in length with every pivot
+    # and this basis would take minutes.
+    n = 24
+    rng = random.Random(3)
+    rows = [[rng.randrange(10) for _ in range(n + 1)] for _ in range(n)]
+    at0, at_inf = g0_vanishing_check(G0Series(n, rows))
+    assert list(at0.entries) == _orders_by_division(rows)
+    assert list(at_inf.entries) == _orders_by_division([row[::-1] for row in rows])
 
 
 def test_realize_g0_exact_vanishing_grid():

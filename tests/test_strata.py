@@ -243,8 +243,8 @@ def test_strata_scan_work_counts(monkeypatch):
         monkeypatch.setattr(cls, method, counted)
 
     count(core._Seq, "__init__")
-    count(BNProblem, "__post_init__")
-    count(Stratum, "__post_init__")
+    count(BNProblem, "__init__")
+    count(Stratum, "__init__")
     params = {"r": 4, "d": 10, "gy": 1, "gz": 2, "alpha1": [0, 0, 1, 1, 2], "alpha2": [0, 1, 1, 2, 2]}
     response, code = run({"command": "strata", "params": params})
     assert code == 0

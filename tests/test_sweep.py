@@ -70,18 +70,18 @@ def test_sweep_work_counts(monkeypatch):
     # and only a nonempty point builds a BNProblem.
     counts = Counter()
     split_once = chains.split_once
-    post_init = core.BNProblem.__post_init__
+    init = core.BNProblem.__init__
 
     def counted_split(p):
         counts["split_once"] += 1
         return split_once(p)
 
-    def counted_post_init(self):
+    def counted_init(self, *args):
         counts["BNProblem"] += 1
-        post_init(self)
+        init(self, *args)
 
     monkeypatch.setattr(chains, "split_once", counted_split)
-    monkeypatch.setattr(core.BNProblem, "__post_init__", counted_post_init)
+    monkeypatch.setattr(core.BNProblem, "__init__", counted_init)
     params = {"g_max": 6, "r_max": 2, "d_max": 5, "command": "chain", "alphas": "all"}
     lines = list(iter_sweep(params))
     nonempty = [line["params"]["g"] for line in lines if line["status"] == "ok"]

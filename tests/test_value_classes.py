@@ -115,6 +115,9 @@ def test_every_field_is_immutable():
     for name in ("alpha_y", "alpha_z", "_excess"):
         with pytest.raises(AttributeError):
             setattr(s, name, 0)
+    for value in (A, VanishingSeq((0, 1), 3), p, s):
+        with pytest.raises(AttributeError):
+            value.extra = 1  # no new attributes either
     assert s.refined and A.entries == (0, 1)
 
 
