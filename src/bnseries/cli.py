@@ -218,7 +218,7 @@ def _cmd_oracle_verify(params: dict):
         a1 = _vanishing(params, "a1", r, d)
         a2 = _vanishing(params, "a2", r, d)
         expected = richardson_dim(d, a1, a2)
-        counts, coeffs = g0_series_counts(d, r, a1.entries, a2.entries)
+        counts, coeffs = g0_series_counts(d, r, a1, a2)
         if expected is None:
             fitted, agree = None, not coeffs
         else:

@@ -44,18 +44,23 @@ class InfeasibleSize(RuntimeError):
     """The requested enumeration exceeds the configured budget."""
 
 
+def _enum_budget() -> int:
+    """BN_ENUM_BUDGET, or DEFAULT_ENUM_BUDGET when unset, read afresh on every call."""
+    raw = os.environ.get("BN_ENUM_BUDGET", DEFAULT_ENUM_BUDGET)
+    try:
+        return int(raw)
+    except ValueError:  # a configuration failure, not invalid input
+        raise RuntimeError(f"BN_ENUM_BUDGET must be an integer, got {raw!r}") from None
+
+
 def refuse_over_budget(size: int, unit: str, at_least: bool = False) -> None:
     """Raise InfeasibleSize when enumerating ``size`` ``unit`` exceeds the budget.
 
-    The budget is BN_ENUM_BUDGET, or DEFAULT_ENUM_BUDGET when unset; ``at_least``
-    marks ``size`` as a lower bound.  A size with more decimal digits than
-    int-to-str conversion allows is named by the power of two below it.
+    The budget is _enum_budget(); ``at_least`` marks ``size`` as a lower
+    bound.  A size with more decimal digits than int-to-str conversion
+    allows is named by the power of two below it.
     """
-    raw = os.environ.get("BN_ENUM_BUDGET", DEFAULT_ENUM_BUDGET)
-    try:
-        limit = int(raw)
-    except ValueError:  # a configuration failure, not invalid input
-        raise RuntimeError(f"BN_ENUM_BUDGET must be an integer, got {raw!r}") from None
+    limit = _enum_budget()
     if size > limit:
         try:
             text = str(size)

@@ -9,7 +9,9 @@ Two ingredients:
   (i, n - 1 - i) for complementary flags (the genus-0 case), a few swaps of
   that list for the Riemann-Roch rule h(k1, k2) = h^0(L - k1 P1 - k2 P2) of
   a degree-d bundle L at genus 1.  The table h of intersection dimensions
-  is derived from the pairs on demand, never on the counting path.
+  is derived from the pairs on demand, never on the counting path.  Only
+  a request that counts (k <= n) keeps its profiles, in _PROFILES by n or
+  by (d, ord(P1 - P2)), so the memo grows only with the histogram cache.
 
 * Point counting.  Subspaces with prescribed vanishing against both flags
   are counted cell by cell: the choices of each row of a canonical basis
@@ -24,7 +26,8 @@ Two ingredients:
   orders, rank) together with one slice per flag-1 bound asked for: its
   entries that meet the bound, merged by flag-2 sequence, so a repeated
   bound costs one scan of its slice.  Each public entry point checks the
-  budget once, before any profile is built or cache is read.  The counts
+  budget once, reading it once, before any profile or cache is read or
+  built, and checks its vanishing sequences once.  The counts
   at q in gf.FIELDS are the polynomial's values and the locus dimension is
   its degree; the tests check the histograms against F_q enumeration.
 
@@ -39,7 +42,7 @@ import os
 from functools import lru_cache
 from operator import ge
 
-from .core import BNProblem, VanishingSeq, _set, _Value, refuse_over_budget, to_vanishing
+from .core import BNProblem, VanishingSeq, _enum_budget, _set, _Value, refuse_over_budget, to_vanishing
 from .elliptic import discriminant, ec_add, ec_neg, is_on_curve, is_prime, point_order
 from .gf import FIELDS, gaussian_binomial
 from .realize import LineBundleDescriptor, generic_bundle, special_bundle
@@ -136,8 +139,10 @@ def refuse_subspaces_over_budget(n: int, k: int, profiles: int = 0) -> None:
     the refusal names it instead of computing the exact count.  After it,
     (n + 1)^2 table entries for each of the ``profiles`` are held against
     the budget, k > n or not: no table is built any more, but the charge
-    stays as policy, since its refusals are part of the interface.
+    stays as policy, since its refusals are part of the interface.  The
+    budget is read once, and refuse_over_budget words the size that fails.
     """
+    limit = _enum_budget() if k <= n or profiles else None  # read only when something is checked
     if k <= n:
         floor = FIELDS[0] ** (k * (n - k))
         try:
@@ -145,9 +150,10 @@ def refuse_subspaces_over_budget(n: int, k: int, profiles: int = 0) -> None:
         except ValueError:  # the count is unprintable too: core names it "at least 2^..."
             refuse_over_budget(floor, "subspaces")
         for q in FIELDS:
-            refuse_over_budget(gaussian_binomial(n, k, q), "subspaces")
-    if profiles:
-        refuse_over_budget(profiles * (n + 1) ** 2, "profile table entries")
+            if (count := gaussian_binomial(n, k, q)) > limit:
+                refuse_over_budget(count, "subspaces")
+    if profiles and (entries := profiles * (n + 1) ** 2) > limit:
+        refuse_over_budget(entries, "profile table entries")
 
 
 # (X, joint tallies of vanishing-sequence pairs at q = X, {a1: slice}), by (profile.orders, k)
@@ -257,11 +263,12 @@ def _poly_eval(coeffs, x):
     return value
 
 
-def _wanted(profile: FlagProfile, r, a1, a2) -> tuple:
+def _wanted(n: int, r, a1, a2) -> tuple:
     """(k, a1, a2 entries) for rank k = r + 1, with a1 and a2 checked as vanishing sequences of length k."""
     k = r + 1
-    want1 = VanishingSeq(a1, profile.n).entries
-    want2 = VanishingSeq(a2, profile.n).entries
+    # a VanishingSeq of context d <= n passed the entry checks when it was built
+    want1 = a1.entries if type(a1) is VanishingSeq and a1.d <= n else VanishingSeq(a1, n).entries
+    want2 = a2.entries if type(a2) is VanishingSeq and a2.d <= n else VanishingSeq(a2, n).entries
     for want in (want1, want2):
         if len(want) != k:
             raise ValueError(f"expected {k} vanishing orders, got {len(want)}")
@@ -281,7 +288,7 @@ def count_series(q, profile: FlagProfile, r, a1, a2) -> int:
     """
     if q not in FIELDS:
         raise ValueError("supported field sizes are 2, 3 and 4")
-    k, want1, want2 = _wanted(profile, r, a1, a2)
+    k, want1, want2 = _wanted(profile.n, r, a1, a2)
     if k > profile.n:
         return 0
     refuse_over_budget(gaussian_binomial(profile.n, k, q), "subspaces")
@@ -299,20 +306,26 @@ def series_counts(profile: FlagProfile, r, a1, a2) -> tuple[list, tuple[int, ...
     one slice sum.
     """
     refuse_subspaces_over_budget(profile.n, r + 1)
-    return _series_counts(profile, r, a1, a2)
+    return _series_counts(profile, *_wanted(profile.n, r, a1, a2))
 
 
-def _series_counts(profile: FlagProfile, r, a1, a2) -> tuple[list, tuple[int, ...]]:
-    """series_counts past its budget gate, which the caller has run for an n >= profile.n."""
-    k, want1, want2 = _wanted(profile, r, a1, a2)
+def _series_counts(profile: FlagProfile, k, want1, want2) -> tuple[list, tuple[int, ...]]:
+    """series_counts past its budget gate and its checks, for rank k and checked entry tuples."""
     coeffs = _counting_polynomial(profile, k, want1, want2) if k <= profile.n else ()
     return [(q, _poly_eval(coeffs, q)) for q in FIELDS], coeffs
+
+
+_PROFILES: dict = {}  # see the module docstring
 
 
 def g0_series_counts(d: int, r, a1, a2) -> tuple[list, tuple[int, ...]]:
     """series_counts on the genus-0 profile, complementary(d + 1), gated before it is built."""
     refuse_subspaces_over_budget(d + 1, r + 1, 1)
-    return _series_counts(profile_complementary(d + 1), r, a1, a2)
+    profile = _PROFILES.get(d + 1) or profile_complementary(d + 1)
+    k, want1, want2 = _wanted(d + 1, r, a1, a2)
+    if k <= d + 1:  # its histograms follow, so the memo holds no orders that _HIST_CACHE lacks
+        _PROFILES[d + 1] = profile
+    return _series_counts(profile, k, want1, want2)
 
 
 def dim_fit(coeffs) -> int | None:
@@ -373,12 +386,15 @@ def ec_descriptor_scan(m: EllipticModel, p: BNProblem) -> dict:
     if order < 2:
         raise ValueError("marked points must be distinct (ord(P1 - P2) >= 2)")
     refuse_subspaces_over_budget(max(p.d, 1), p.r + 1, p.d + 2)  # all_descriptors(d)
+    # checked once: entries in [0, d], and d <= n for every descriptor
     a1 = to_vanishing(p.alpha1).entries
     a2 = to_vanishing(p.alpha2).entries
+    pairs = _PROFILES.get((p.d, order)) or tuple((b, profile_g1(b, order)) for b in all_descriptors(p.d))
+    if p.r + 1 <= max(p.d, 1):  # kept only when histograms follow, as in g0_series_counts
+        _PROFILES[p.d, order] = pairs
     report = {"order_diff": order, "descriptors": []}
-    for bundle in all_descriptors(p.d):
-        profile = profile_g1(bundle, diff_order=order)
-        counts, coeffs = _series_counts(profile, p.r, a1, a2)
+    for bundle, profile in pairs:
+        counts, coeffs = _series_counts(profile, p.r + 1, a1, a2)
         report["descriptors"].append(
             {
                 "bundle": "generic" if bundle.a is None else f"special({bundle.a})",

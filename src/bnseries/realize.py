@@ -17,7 +17,7 @@ for at most one j; equality at j forces L = O(a1_j P1 + a2_{r-j} P2).
 All linear algebra is exact and division-free, so integer rows stay integer.
 """
 
-from math import gcd
+from math import gcd, lcm
 
 from .core import VanishingSeq, _set, _Value, gaps
 
@@ -131,13 +131,21 @@ def lead_positions(rows, col_order) -> list[int]:
 def g0_vanishing_check(s: G0Series) -> tuple[VanishingSeq, VanishingSeq]:
     """Exact vanishing sequences of the span at 0 and infinity.
 
-    Row-reduces the coefficient rows with lead_positions (integer rows stay
-    small; Fraction rows work but are not reduced) in increasing-power order
-    for 0 and in decreasing-power order for infinity; the lead positions are
-    the orders of an adapted basis.  Raises DegenerateBasis for dependent input.
+    Row-reduces the coefficient rows with lead_positions in increasing-power
+    order for 0 and in decreasing-power order for infinity; the leads are the
+    orders of an adapted basis.  A row holding a non-int (a Fraction, say) is
+    first scaled to ints by the lcm of its denominators, which keeps its leads,
+    so rows stay small.  Raises DegenerateBasis for dependent input.
     """
-    at0 = lead_positions(s.basis, range(s.d + 1))
-    at_inf = lead_positions(s.basis, range(s.d, -1, -1))
+    rows = []
+    for row in s.basis:
+        if not all(type(x) is int for x in row):
+            ratios = [x.as_integer_ratio() for x in row]
+            m = lcm(*(den for _, den in ratios))
+            row = [num * (m // den) for num, den in ratios]
+        rows.append(row)
+    at0 = lead_positions(rows, range(s.d + 1))
+    at_inf = lead_positions(rows, range(s.d, -1, -1))
     if len(at0) < len(s.basis) or len(at_inf) < len(s.basis):
         raise DegenerateBasis("basis polynomials are linearly dependent")
     return VanishingSeq(tuple(at0), s.d), VanishingSeq(tuple(at_inf), s.d)

@@ -1,5 +1,6 @@
 import json
 from itertools import combinations, product
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,8 @@ from bnseries import (
     EllipticModel,
     FlagProfile,
     InfeasibleSize,
+    VanishingSeq,
+    all_problems,
     count_series,
     dim_fit,
     ec_g1_nonempty,
@@ -17,11 +20,12 @@ from bnseries import (
     problem,
     profile_complementary,
     profile_g1,
+    to_vanishing,
 )
-from bnseries import oracle
+from bnseries import core, oracle
 from bnseries.cli import _dump, run
 from bnseries.gf import FIELDS, gaussian_binomial
-from bnseries.oracle import all_descriptors, ec_descriptor_scan, series_counts
+from bnseries.oracle import all_descriptors, ec_descriptor_scan, g0_series_counts, series_counts
 from bnseries.realize import generic_bundle, lead_positions, special_bundle
 from gf_reference import field_rows, rank, rref_matrices
 
@@ -583,3 +587,174 @@ def test_general_pair_profile_ignores_large_order():
     # an order above d is indistinguishable from general position
     for bundle in all_descriptors(4):
         assert profile_g1(bundle, diff_order=6) == profile_g1(bundle, diff_order=None)
+
+
+@pytest.mark.parametrize("fixture", ["general", "general27", "torsion2"])
+def test_descriptor_scan_matches_the_validated_public_path(fixture, monkeypatch):
+    # The scan reads memoised profiles and checks each sequence once; the
+    # public path rebuilds and re-checks everything.  The first problem at
+    # each d builds the memo entry and the others read it.  torsion2 makes
+    # special bundles coincide from d = 2 on.
+    monkeypatch.setattr(oracle, "_PROFILES", {})
+    model = load_fixture(fixture)
+    scans = 0
+    for d in range(7):
+        for r in range(min(2, d) + 1):
+            for p in all_problems(1, r, d):
+                a1, a2 = (tuple(a + j for j, a in enumerate(alpha)) for alpha in (p.alpha1, p.alpha2))
+                scan = ec_descriptor_scan(model, p)
+                bundles = all_descriptors(d)
+                assert [e["a"] for e in scan["descriptors"]] == [b.a for b in bundles]
+                for entry, bundle in zip(scan["descriptors"], bundles):
+                    counts, coeffs = series_counts(profile_g1(bundle, model.order_diff), r, a1, a2)
+                    assert (entry["counts"], entry["dim"]) == (counts, dim_fit(coeffs)), (p, bundle)
+                scans += 1
+    assert set(oracle._PROFILES) == {(d, model.order_diff) for d in range(7)}
+    assert scans == sum(comb(d + 1, r + 1) ** 2 for d in range(7) for r in range(min(2, d) + 1))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except InfeasibleSize as exc:
+        return str(exc)
+
+
+def test_g0_series_counts_matches_the_validated_public_path(monkeypatch):
+    monkeypatch.delenv("BN_ENUM_BUDGET", raising=False)
+    monkeypatch.setattr(oracle, "_PROFILES", {})
+    refused = 0
+    for d in range(7):
+        for r in range(min(2, d) + 1):
+            for p in all_problems(0, r, d):
+                a1, a2 = to_vanishing(p.alpha1), to_vanishing(p.alpha2)
+                expected = _outcome(lambda: series_counts(profile_complementary(d + 1), r, a1.entries, a2.entries))
+                refused += isinstance(expected, str)
+                # checked VanishingSeqs, as the CLI passes them, and raw tuples
+                assert _outcome(lambda: g0_series_counts(d, r, a1, a2)) == expected, p
+                assert _outcome(lambda: g0_series_counts(d, r, a1.entries, a2.entries)) == expected, p
+    assert refused == comb(7, 3) ** 2  # (r, d) = (2, 6) is over the default budget at q = 4
+
+
+def _count_profile_builds(monkeypatch):
+    builds = []
+    init = FlagProfile.__init__
+
+    def counted(self, n, orders):
+        builds.append(n)
+        init(self, n, orders)
+
+    monkeypatch.setattr(FlagProfile, "__init__", counted)
+    return builds
+
+
+@pytest.mark.parametrize(
+    "params, first",
+    [
+        ({"genus": 1, "r": 1, "d": 4, "alpha1": [0, 1], "alpha2": [0, 0]}, 4 + 2),
+        ({"genus": 1, "r": 1, "d": 4, "alpha1": [0, 1], "alpha2": [0, 0], "fixture": "torsion2"}, 4 + 2),
+        ({"genus": 1, "r": 0, "d": 0, "alpha1": [0], "alpha2": [0]}, 0 + 2),
+        ({"genus": 0, "r": 1, "d": 4, "a1": [0, 1], "a2": [0, 2]}, 1),
+    ],
+)
+def test_a_repeated_request_builds_no_profile(params, first, monkeypatch):
+    monkeypatch.setattr(oracle, "_PROFILES", {})
+    builds = _count_profile_builds(monkeypatch)
+    request = {"command": "oracle-verify", "params": params}
+    response, code = run(request)
+    assert code == 0, response
+    assert len(builds) == first
+    other = {**params, "alpha1": [0] * (params["r"] + 1)} if params["genus"] else {**params, "a2": [0, 1]}
+    assert run({"command": "oracle-verify", "params": other})[1] == 0  # same (d, fixture), other sequences
+    assert run(request) == (response, code)
+    assert len(builds) == first
+
+
+def test_a_request_that_counts_nothing_keeps_no_profile(monkeypatch):
+    # at r = d every genus-1 descriptor has n = d < k: no histogram is built, so no profile is kept
+    monkeypatch.setattr(oracle, "_PROFILES", {})
+    monkeypatch.setattr(oracle, "_HIST_CACHE", {})
+    builds = _count_profile_builds(monkeypatch)
+    request = {"command": "oracle-verify", "params": {"genus": 1, "r": 3, "d": 3}}
+    for _ in range(2):
+        response, code = run(request)
+        assert (response["status"], code) == ("empty", 0)
+        # genus 0 with k = n + 1, which only the library API can ask for
+        assert g0_series_counts(1, 2, (0, 1, 2), (0, 1, 2)) == ([(2, 0), (3, 0), (4, 0)], ())
+    assert len(builds) == 2 * (3 + 2 + 1)
+    assert oracle._PROFILES == oracle._HIST_CACHE == {}
+
+
+def test_a_vanishing_seq_of_a_larger_context_is_checked_again():
+    # A VanishingSeq skips the entry checks only when its context d is at most n.
+    wide = VanishingSeq((0, 5), 5)
+    for a1 in (wide, wide.entries):
+        with pytest.raises(ValueError, match=r"entry a_1=5 outside \[0, 3\]"):
+            series_counts(profile_complementary(3), 1, a1, (0, 1))
+        with pytest.raises(ValueError, match=r"entry a_1=5 outside \[0, 4\]"):
+            g0_series_counts(3, 1, a1, (0, 1))
+    with pytest.raises(ValueError, match="expected 3 vanishing orders, got 2"):
+        g0_series_counts(3, 2, VanishingSeq((0, 1), 3), (0, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"genus": 0, "r": 1, "d": 4, "a1": [0, 1], "a2": [0, 2]},
+        {"genus": 1, "r": 1, "d": 4, "alpha1": [0, 1], "alpha2": [0, 0]},
+        {"genus": 1, "r": 4, "d": 4},
+    ],
+)
+def test_a_request_reads_the_budget_once(params, monkeypatch):
+    monkeypatch.delenv("BN_ENUM_BUDGET", raising=False)
+    reads = []
+    original = core._enum_budget
+
+    def counted():
+        reads.append(1)
+        return original()
+
+    for module in (core, oracle):
+        monkeypatch.setattr(module, "_enum_budget", counted)
+    response, code = run({"command": "oracle-verify", "params": params})
+    assert code in (0, 1), response
+    assert len(reads) == 1
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"genus": 0, "r": 1, "d": 4, "a1": [0, 1], "a2": [0, 2]},
+        {"genus": 1, "r": 1, "d": 4, "alpha1": [0, 1], "alpha2": [0, 0]},
+        {"genus": 1, "r": 4, "d": 4},  # refused by the profile charge alone
+    ],
+)
+def test_a_refused_request_fills_no_memo(params, monkeypatch):
+    monkeypatch.setattr(oracle, "_PROFILES", {})
+    monkeypatch.setattr(oracle, "_HIST_CACHE", {})
+    builds = _count_profile_builds(monkeypatch)
+    monkeypatch.setenv("BN_ENUM_BUDGET", "10")
+    response, code = run({"command": "oracle-verify", "params": params})
+    assert code == 2 and response["diagnostics"][0].startswith("InfeasibleSize"), response
+    assert oracle._PROFILES == oracle._HIST_CACHE == {}
+    assert builds == []
+
+
+def test_a_non_integer_budget_fails_where_a_budget_is_read(monkeypatch):
+    monkeypatch.setenv("BN_ENUM_BUDGET", "lots")
+    message = "BN_ENUM_BUDGET must be an integer, got 'lots'"
+    # nothing to count and no profile charge: the budget is not read
+    assert series_counts(profile_complementary(2), 2, (0, 1, 2), (0, 1, 2)) == ([(2, 0), (3, 0), (4, 0)], ())
+    assert count_series(2, profile_complementary(2), 2, (0, 1, 2), (0, 1, 2)) == 0
+    assert oracle.refuse_subspaces_over_budget(2, 3) is None
+    general = load_fixture("general")
+    for call in (
+        lambda: series_counts(profile_complementary(3), 1, (0, 1), (0, 1)),
+        lambda: count_series(2, profile_complementary(3), 0, (0,), (0,)),
+        lambda: g0_series_counts(3, 1, (0, 1), (0, 1)),
+        lambda: g0_series_counts(1, 2, (0, 1, 2), (0, 1, 2)),  # k > n, but one profile is charged
+        lambda: ec_descriptor_scan(general, problem(1, 1, 3)),
+        lambda: ec_descriptor_scan(general, problem(1, 3, 3)),
+    ):
+        with pytest.raises(RuntimeError, match=message):
+            call()

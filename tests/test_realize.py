@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -100,6 +101,19 @@ def test_g0_vanishing_check_dense_integer_basis():
     rng = random.Random(3)
     rows = [[rng.randrange(10) for _ in range(n + 1)] for _ in range(n)]
     at0, at_inf = g0_vanishing_check(G0Series(n, rows))
+    assert list(at0.entries) == _orders_by_division(rows)
+    assert list(at_inf.entries) == _orders_by_division([row[::-1] for row in rows])
+
+
+def test_g0_vanishing_check_dense_fraction_basis():
+    # A row holding Fractions is scaled to ints by the lcm of its
+    # denominators first; reduced as Fractions, this basis took over 100 ms.
+    n = 16
+    rng = random.Random(5)
+    rows = [[Fraction(rng.randrange(10), rng.randrange(1, 5)) for _ in range(n + 1)] for _ in range(n)]
+    start = time.perf_counter()
+    at0, at_inf = g0_vanishing_check(G0Series(n, rows))
+    assert time.perf_counter() - start < 0.05
     assert list(at0.entries) == _orders_by_division(rows)
     assert list(at_inf.entries) == _orders_by_division([row[::-1] for row in rows])
 
