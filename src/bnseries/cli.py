@@ -51,8 +51,11 @@ _NOT_INT = frozenset((bool, float, str))
 
 
 def _parse_seq(value, what: str) -> tuple[int, ...]:
-    if isinstance(value, str):
-        parts = [s for s in value.replace(" ", "").split(",") if s]
+    if isinstance(value, str):  # "" is the empty list; each token is -?[0-9]+ between spaces
+        parts = [s.strip() for s in value.split(",")] if value.strip() else []
+        bad = next((s for s in parts if not (s.removeprefix("-").isdigit() and s.isascii())), None)
+        if bad is not None:
+            raise InvalidRequest(f"{what} must contain integers: invalid literal for int() with base 10: {bad!r}")
     elif isinstance(value, (list, tuple)):
         parts = value
         if not _NOT_INT.isdisjoint(map(type, parts)):

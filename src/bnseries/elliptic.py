@@ -3,7 +3,9 @@
 Curves are y^2 = x^3 + a*x + b over F_p with p >= 5 and nonzero discriminant.
 Points are (x, y) pairs of integers mod p; None is the point at infinity.
 Everything here is brute-force exact arithmetic at desk scale: point orders
-are found by repeated addition, and fixture models by direct search.
+are found by repeated addition.  The oracle uses it to check each stored
+fixture model when it loads; curve_points and ec_mul are the tests'
+references for the group law.
 """
 
 from collections.abc import Iterator
@@ -87,61 +89,3 @@ def curve_points(p: int, a: int, b: int) -> Iterator[tuple[int, int]]:
 def is_prime(n: int) -> bool:
     return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
 
-
-def _find_model(p_min: int, pick) -> dict:
-    """First curve, over primes p >= p_min and then (a, b), where ``pick`` finds a pair.
-
-    ``pick(p, a, points)`` gets the sorted affine points and returns
-    (P1, P2, ord(P1 - P2)) or None; the hit comes back in the fixture's shape.
-    """
-    p = p_min
-    while True:
-        if is_prime(p):
-            for a in range(p):
-                for b in range(p):
-                    if discriminant(p, a, b) == 0:
-                        continue
-                    hit = pick(p, a, sorted(curve_points(p, a, b)))
-                    if hit is not None:
-                        p1, p2, order = hit
-                        return {
-                            "p": p,
-                            "a": a,
-                            "b": b,
-                            "p1": list(p1),
-                            "p2": list(p2),
-                            "order_diff": order,
-                        }
-        p += 1
-
-
-def find_general_model(p_min: int = 50, min_order: int = 5) -> dict:
-    """Smallest-prime search for a curve and point pair with ord(P1 - P2) >= min_order.
-
-    Deterministic: P2 is the first point and P1 - P2 the first point, in
-    sorted order, of order >= min_order that does not put P1 at infinity.
-    """
-
-    def pick(p, a, points):
-        for diff in points:
-            order = point_order(p, a, diff)
-            if order >= min_order:
-                p1 = ec_add(p, a, points[0], diff)
-                if p1 is not None:
-                    return p1, points[0], order
-        return None
-
-    return _find_model(p_min, pick)
-
-
-def find_torsion_model(p_min: int = 50, torsion: int = 2) -> dict:
-    """Search for a curve and point pair whose difference has the exact given order."""
-
-    def pick(p, a, points):
-        diff = next((pt for pt in points if point_order(p, a, pt) == torsion), None)
-        if diff is None:
-            return None
-        p2 = next(pt for pt in points if point_order(p, a, pt) != torsion)
-        return ec_add(p, a, p2, diff), p2, torsion
-
-    return _find_model(p_min, pick)

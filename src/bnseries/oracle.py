@@ -25,11 +25,13 @@ Two ingredients:
   digits (Kronecker substitution).  The histogram is cached per (profile
   orders, rank) together with one slice per flag-1 bound asked for: its
   entries that meet the bound, merged by flag-2 sequence, so a repeated
-  bound costs one scan of its slice.  Each public entry point checks the
-  budget once, reading it once, before any profile or cache is read or
-  built, and checks its vanishing sequences once.  The counts
-  at q in gf.FIELDS are the polynomial's values and the locus dimension is
-  its degree; the tests check the histograms against F_q enumeration.
+  bound costs one scan of its slice.  Every count passes one gate,
+  refuse_subspaces_over_budget: each public entry point runs it once,
+  reading the budget once, before any profile or cache is read or built,
+  and checks its vanishing sequences once; count_series is series_counts
+  read at one q.  The counts at q in gf.FIELDS are the polynomial's values
+  and the locus dimension is its degree; the tests check the histograms
+  against F_q enumeration.
 
 The elliptic model supplies the genus-1 generality certificate: a concrete
 curve over a prime field with marked points whose difference has known group
@@ -54,8 +56,7 @@ class FlagProfile(_Value):
     orders holds the n vanishing-order pairs (o1, o2) of a coordinate model,
     sorted by o1: distinct o1 values, distinct o2 values, all in [0, n].
     The table h(k1, k2) = #{i : o1_i >= k1, o2_i >= k2} of intersection
-    dimensions is a derived view, built by ``profile.h`` and read one entry
-    at a time by ``profile(k1, k2)``.
+    dimensions is a derived view, ``profile.h``, that no count reads.
     """
 
     __slots__ = _fields = ("n", "orders")
@@ -73,9 +74,6 @@ class FlagProfile(_Value):
             values = {pair[side] for pair in orders}
             if len(values) != n or not values <= set(range(n + 1)):
                 raise ValueError(f"flag-{side + 1} orders must be distinct integers in [0, {n}]")
-
-    def __call__(self, k1: int, k2: int) -> int:
-        return sum(o1 >= k1 and o2 >= k2 for o1, o2 in self.orders)
 
     @property
     def h(self) -> tuple[tuple[int, ...], ...]:
@@ -278,30 +276,26 @@ def _wanted(n: int, r, a1, a2) -> tuple:
 def count_series(q, profile: FlagProfile, r, a1, a2) -> int:
     """Number of (r+1)-subspaces of F_q^n with vanishing >= a1, a2 at the flags.
 
-    q must be in gf.FIELDS.  A subspace qualifies when its vanishing sequence
-    against flag i dominates a_i componentwise.  The count is the value at q
-    of the exact counting polynomial (see _counting_polynomial), so no
-    subspace is enumerated.  The budget (BN_ENUM_BUDGET, default 10^7
-    subspaces) is a policy on the size of the count, not on work done: it
-    caps gaussian_binomial(n, r + 1, q) and raises InfeasibleSize beyond it
-    before any cache lookup, cached histogram or not.
+    q must be in gf.FIELDS; the count is the value at q that series_counts
+    returns, behind the same budget gate, so a q under the budget is
+    refused too when a larger field size is over it.
     """
     if q not in FIELDS:
         raise ValueError("supported field sizes are 2, 3 and 4")
-    k, want1, want2 = _wanted(profile.n, r, a1, a2)
-    if k > profile.n:
-        return 0
-    refuse_over_budget(gaussian_binomial(profile.n, k, q), "subspaces")
-    return _poly_eval(_counting_polynomial(profile, k, want1, want2), q)
+    return dict(series_counts(profile, r, a1, a2)[0])[q]
 
 
 def series_counts(profile: FlagProfile, r, a1, a2) -> tuple[list, tuple[int, ...]]:
-    """([(q, count_series(q, profile, r, a1, a2)) for q in gf.FIELDS], coefficients).
+    """([(q, count) for q in gf.FIELDS], coefficients) for the (r+1)-subspaces of F_q^n.
 
-    The coefficients, low to high, are those of the exact counting
-    polynomial in q, () for an empty locus; the counts are its values.  The
-    budget is checked for every field size before anything is validated or
-    counted, so the refusal names the first q over it, as counting in order
+    A subspace counts when its vanishing sequence against flag i dominates
+    a_i componentwise.  The coefficients, low to high, are those of the
+    exact counting polynomial in q (see _counting_polynomial), () for an
+    empty locus, and the counts are its values, so no subspace is
+    enumerated.  The budget (BN_ENUM_BUDGET, default 10^7 subspaces) is a
+    policy on the size of the count, not on work done: it is checked for
+    every field size before anything is validated, counted or looked up in
+    a cache, so the refusal names the first q over it, as counting in order
     would.  Then a1 and a2 are checked once, and the polynomial is read from
     one slice sum.
     """

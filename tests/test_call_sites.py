@@ -111,3 +111,18 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
         tracer.uninstall()
     assert {name: getattr(oracle, name) for name in before} == before
     assert (response, code) == run({"command": "oracle-verify", "params": {"genus": 0, "r": 1, "d": 3}})
+
+
+def test_benchmark_tracer_counts_a_count_series_call(monkeypatch):
+    # the tracer's count_series hook reads the profile's table, so this fails
+    # when a refactor breaks the hook as well as when it stops the count
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        count = oracle.count_series(2, oracle.profile_complementary(3), 0, (1,), (1,))
+    finally:
+        tracer.uninstall()
+    assert count == 1
+    assert tracer.raw()["count_calls"] == 1

@@ -118,6 +118,17 @@ def test_verify_rejects_wrong_genus_layout():
     assert any("genus-1 components" in v for v in chain_violations(squashed, p))
 
 
+def test_verify_rejects_a_component_that_fails_its_base_case():
+    # rho and the endpoints are consistent, but (1, 1) against (1, 1) at d = 2
+    # asks a1_1 + a2_0 = 2 + 1 > d: no genus-1 series exists
+    p = problem(1, 1, 2, (1, 1), (1, 1))
+    seq = RamSeq((1, 1), 2)
+    tampered = ChainWitness(1, 2, (ChainComponent(1, seq, seq, -3),), -3)
+    assert rho(p) == -3
+    assert chain_violations(tampered, p) == ["component 0: genus-1 base-case criterion fails"]
+    assert not verify_chain(tampered, p)
+
+
 def test_verify_single_genus1_component():
     p = problem(1, 1, 3, (1, 2), (0, 0))
     w = build_chain(p)

@@ -390,6 +390,39 @@ def test_non_integer_params_are_invalid(params):
     assert response["payload"] == {}
 
 
+@pytest.mark.parametrize(
+    "value, token",
+    [
+        ("0 1", "0 1"),  # spaces do not separate entries
+        ("1 2", "1 2"),
+        ("1,", ""),
+        ("0,,1", ""),
+        (",", ""),
+        ("1_0", "1_0"),
+        ("\u0661,\u0662", "\u0661"),  # Arabic-Indic digits
+        ("+1", "+1"),
+        ("1,-", "-"),
+    ],
+)
+def test_comma_lists_refuse_anything_but_base_10_tokens(value, token, capsys):
+    params = {"g": 1, "r": 0, "d": 20, "alpha1": value}
+    message = f"alpha1 must contain integers: invalid literal for int() with base 10: {token!r}"
+    response, code = run({"command": "rho", "params": params})
+    assert (response["diagnostics"], code) == ([message], 1)
+    assert main(["rho", "--g", "1", "--r", "0", "--d", "20", "--alpha1", value]) == 1
+    assert json.loads(capsys.readouterr().out) == response
+
+
+@pytest.mark.parametrize("value, entries", [(" 0, 1 ,2", [0, 1, 2]), ("", []), ("-1", [-1])])
+def test_comma_lists_strip_spaces_around_each_entry(value, entries, capsys):
+    params = {"g": 1, "r": max(len(entries) - 1, 0), "d": 20}
+    expected = run({"command": "check", "params": {**params, "alpha1": entries}})
+    assert run({"command": "check", "params": {**params, "alpha1": value}}) == expected
+    argv = [f"--{key}={val}" for key, val in params.items()]
+    assert main(["check", *argv, f"--alpha1={value}"]) == expected[1]
+    assert json.loads(capsys.readouterr().out) == expected[0]
+
+
 def test_main_returns_exit_code(capsys):
     assert main(["check", "--g", "4", "--r", "1", "--d", "3"]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,3 @@
-import json
-from importlib import resources
 from itertools import product
 
 from bnseries.elliptic import (
@@ -8,12 +6,11 @@ from bnseries.elliptic import (
     ec_add,
     ec_mul,
     ec_neg,
-    find_general_model,
-    find_torsion_model,
     is_on_curve,
     is_prime,
     point_order,
 )
+from bnseries.oracle import load_fixture
 
 P, A, B = 53, 0, 1  # the fixture curve y^2 = x^3 + 1 over F_53
 
@@ -68,9 +65,25 @@ def test_is_prime_below_60():
     assert {n for n in range(-3, 60) if is_prime(n)} == primes
 
 
-def test_model_search_reproduces_fixtures():
-    text = resources.files("bnseries").joinpath("fixtures/elliptic_models.json").read_text()
-    models = json.loads(text)["models"]
-    assert find_general_model() == models["general"]
-    assert find_general_model(min_order=7) == models["general27"]
-    assert find_torsion_model() == models["torsion2"]
+def test_fixtures_follow_their_selection_rule():
+    # The rule in the fixture file's comment: the first nonsingular curve over
+    # the first prime >= 50; P2 its first affine point in sorted order (for
+    # torsion2, the first whose order is not 2); P1 - P2 the first point, in
+    # sorted order, of order >= 5 (general), >= 7 (general27) or exactly 2
+    # (torsion2), with P1 = P2 + (P1 - P2) not at infinity.
+    assert (P, A, B) == (next(p for p in range(50, 60) if is_prime(p)), 0, 1)
+    assert discriminant(P, 0, 0) == 0  # (a, b) = (0, 1) is the first nonsingular pair
+    points = sorted(curve_points(P, A, B))
+    order = {pt: point_order(P, A, pt) for pt in points}
+
+    def pick(p2, hit):
+        diff = next(pt for pt in points if hit(order[pt]) and ec_add(P, A, p2, pt) is not None)
+        return ec_add(P, A, p2, diff), p2, order[diff]
+
+    models = {name: load_fixture(name) for name in ("general", "general27", "torsion2")}
+    assert {(m.p, m.a, m.b) for m in models.values()} == {(P, A, B)}
+    assert {name: (m.p1, m.p2, m.order_diff) for name, m in models.items()} == {
+        "general": pick(points[0], lambda o: o >= 5),
+        "general27": pick(points[0], lambda o: o >= 7),
+        "torsion2": pick(next(pt for pt in points if order[pt] != 2), lambda o: o == 2),
+    }

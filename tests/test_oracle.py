@@ -2,6 +2,7 @@ import json
 from itertools import combinations, product
 from math import comb
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -96,9 +97,9 @@ def _h0_table(bundle, diff_order=None):
 
 def test_profile_complementary_values():
     prof = profile_complementary(4)
-    assert prof(0, 0) == 4
-    assert prof(1, 2) == 1
-    assert prof(2, 2) == 0
+    assert prof.h[0][0] == 4
+    assert prof.h[1][2] == 1
+    assert prof.h[2][2] == 0
 
 
 def test_profile_validation():
@@ -123,10 +124,10 @@ def test_profile_validation():
 
 
 def test_profile_g1_values():
-    assert profile_g1(generic_bundle(3))(1, 2) == 0
-    assert profile_g1(special_bundle(3, 1))(1, 2) == 1
+    assert profile_g1(generic_bundle(3)).h[1][2] == 0
+    assert profile_g1(special_bundle(3, 1)).h[1][2] == 1
     for bundle in all_descriptors(3):
-        assert profile_g1(bundle)(0, 0) == 3
+        assert profile_g1(bundle).h[0][0] == 3
     # a generic bundle sees transverse flags: the complementary profile
     assert profile_g1(generic_bundle(4)) == profile_complementary(4)
 
@@ -174,7 +175,6 @@ def test_closed_form_profiles_match_the_table_path():
         prof = profile_complementary(n)
         assert prof == _table_profile(n, table)
         assert prof.h == tuple(map(tuple, table))
-        assert [[prof(k1, k2) for k2 in range(n + 1)] for k1 in range(n + 1)] == table
 
 
 def test_special_profile_with_coinciding_points_is_refused():
@@ -191,8 +191,8 @@ def test_special_profile_with_coinciding_points_is_refused():
 
 def test_profile_g1_concentrated_bundle_keeps_tail():
     prof = profile_g1(special_bundle(3, 3))
-    assert prof(3, 0) == 1  # O(dP1) has a section vanishing to order d at P1
-    assert prof(2, 0) == 1
+    assert prof.h[3][0] == 1  # O(dP1) has a section vanishing to order d at P1
+    assert prof.h[2][0] == 1
     orders = basis_orders(prof)
     assert sorted(o1 for o1, _ in orders) == [0, 1, 3]
 
@@ -212,6 +212,27 @@ def test_count_series_budget(monkeypatch):
     monkeypatch.setenv("BN_ENUM_BUDGET", "10")
     with pytest.raises(InfeasibleSize):
         count_series(4, profile_complementary(7), 2, (0, 1, 2), (0, 1, 2))
+
+
+def test_count_series_is_refused_by_the_shared_gate(monkeypatch):
+    # an unprintable count is refused from its top Schubert cell, with no exact
+    # subspace count, and in the words series_counts uses
+    monkeypatch.delenv("BN_ENUM_BUDGET", raising=False)
+    prof, seq = profile_complementary(3001), tuple(range(1001))
+    start = perf_counter()
+    with pytest.raises(InfeasibleSize) as refused:
+        count_series(2, prof, 1000, seq, seq)
+    assert perf_counter() - start < 0.2
+    with pytest.raises(InfeasibleSize) as shared:
+        series_counts(prof, 1000, seq, seq)
+    assert str(refused.value) == str(shared.value) == (
+        "enumeration of at least 2^2002000 subspaces exceeds the budget of 10000000"
+    )
+    # one gate for every field size: q = 2 fits the budget, q = 4 does not
+    size = gaussian_binomial(5, 2, 4)
+    monkeypatch.setenv("BN_ENUM_BUDGET", str(size - 1))
+    with pytest.raises(InfeasibleSize, match=f"enumeration of {size} subspaces"):
+        count_series(2, profile_complementary(5), 1, (0, 1), (0, 1))
 
 
 def test_count_series_rejects_bad_input():

@@ -13,12 +13,14 @@ from bnseries import (
     classify_g1_vanishing,
     g0_vanishing_check,
     nonempty_criterion,
+    problem,
     realize_g0,
     realize_g1,
     rho,
     richardson_dim,
     to_vanishing,
 )
+from bnseries.oracle import ec_descriptor_scan, load_fixture
 from bnseries.realize import generic_bundle, special_bundle
 
 
@@ -150,6 +152,21 @@ def test_classify_g1_vanishing():
                 seq = classify_g1_vanishing(bundle, at)
                 assert all(x < y for x, y in zip(seq.entries, seq.entries[1:]))
                 assert seq.entries[-1] <= d
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: richardson_dim(3, v((0, 1), 3), v((0, 1, 2), 3)), "vanishing sequences must match the (r, d) context"),
+        (lambda: classify_g1_vanishing(generic_bundle(3), 3), "marked point must be 1 or 2"),
+        (lambda: ec_descriptor_scan(load_fixture("general"), problem(2, 1, 3)), "the descriptor scan is a genus-1 oracle"),
+    ],
+    ids=["richardson-context", "classify-point", "scan-genus"],
+)
+def test_input_checks_raise_their_messages(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 def test_realize_g1_examples():
