@@ -16,6 +16,7 @@ import os
 import sys
 from collections.abc import Iterator
 from math import comb
+from operator import getitem
 
 from .chains import (
     build_chain,
@@ -29,6 +30,7 @@ from .core import (
     VanishingSeq,
     all_ram_seqs,
     criterion_excess,
+    criterion_table,
     nonempty_criterion,
     problem,
     refuse_over_budget,
@@ -133,22 +135,25 @@ def _cmd_strata(params: dict):
                 raise InvalidRequest(f"'{key}' needs the component genera 'gy' and 'gz'")
     refuse_strata_over_budget(r, d)
     # refined strata only: fiber_bound is 0, and the node sequences sum to (r+1)(d-r),
-    # so expected_dim is glued_rho
+    # so expected_dim is glued_rho; each entry's keys are written in sorted order
+    if not with_problem:
+        strata = [
+            {"alpha_y": list(y), "alpha_z": list(z), "fiber_bound": 0, "refined": True}
+            for y, z in enumerate_refined_strata(r, d)
+        ]
+        return "ok", {"count": len(strata), "d": d, "r": r, "strata": strata}
+    # sum(ty[i][y[i]]) is criterion_excess(gy, r, d, alpha1, y), and tz is the same for (z, alpha2)
+    ty, tz = criterion_table(gy, r, d, alpha1), criterion_table(gz, r, d, alpha2)
     strata = []
     nonempty = False
-    for alpha_y, alpha_z in enumerate_refined_strata(r, d):
-        entry = {"alpha_y": list(alpha_y), "alpha_z": list(alpha_z), "refined": True, "fiber_bound": 0}
-        if with_problem:
-            y_ok = criterion_excess(gy, r, d, alpha1, alpha_y) <= gy
-            z_ok = criterion_excess(gz, r, d, alpha_z, alpha2) <= gz
-            entry["expected_dim"], entry["y_nonempty"], entry["z_nonempty"] = glued_rho, y_ok, z_ok
-            nonempty = nonempty or (y_ok and z_ok)
-        strata.append(entry)
-    payload = {"r": r, "d": d, "count": len(strata), "strata": strata}
-    if with_problem:
-        payload["glued_rho"] = glued_rho
-        payload["nonempty"] = nonempty
-    return "ok", payload
+    for y, z in enumerate_refined_strata(r, d):
+        y_ok, z_ok = sum(map(getitem, ty, y)) <= gy, sum(map(getitem, tz, z)) <= gz
+        strata.append({"alpha_y": list(y), "alpha_z": list(z), "expected_dim": glued_rho, "fiber_bound": 0,
+                       "refined": True, "y_nonempty": y_ok, "z_nonempty": z_ok})
+        nonempty = nonempty or (y_ok and z_ok)
+    return "ok", {
+        "count": len(strata), "d": d, "glued_rho": glued_rho, "nonempty": nonempty, "r": r, "strata": strata
+    }
 
 
 def _cmd_chain(params: dict):

@@ -23,6 +23,8 @@ Conventions used throughout the package:
   works on plain entry tuples, and so do ``criterion_excess`` and
   ``rho_from_totals``, which ``criterion_sum`` and ``rho`` delegate to, so a
   scan over many sequences need not build a ``BNProblem`` for each.
+  ``criterion_table`` tabulates that pairing against one fixed sequence,
+  built from ``gaps`` too, so a scan reads each criterion by lookup.
 
 All arithmetic is exact.  ``refuse_over_budget`` is the one check of the
 enumeration budget that bounds every request; every other function in this
@@ -265,6 +267,13 @@ def criterion_excess(g: int, r: int, d: int, x: tuple[int, ...], y: tuple[int, .
         if s > 0:
             total += s
     return total
+
+
+def criterion_table(g: int, r: int, d: int, fixed: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Rows t[i][v] = max(0, fixed[r-i] + v - (d - r - g)) for v in [0, d - r], so that
+    criterion_excess(g, r, d, fixed, y) == criterion_excess(g, r, d, y, fixed) == sum(t[i][y[i]])."""
+    columns = [gaps((v,) * (r + 1), fixed, d - r - g) for v in range(d - r + 1)]
+    return [tuple([s if s > 0 else 0 for s in row]) for row in zip(*columns)]
 
 
 def criterion_sum(p: BNProblem) -> int:

@@ -16,7 +16,8 @@ pass.  ``enumerate_refined_strata`` yields entry tuples, not ``Stratum``s, so
 a scan validates no sequence per stratum.  On a refined stratum ``refined``
 is true, ``fiber_dim_bound`` is 0 and ``stratum_expected_dim`` is the rho of
 the glued problem (the node sequences sum to (r + 1)(d - r)); the ``strata``
-command emits those invariants without computing them.
+command emits those invariants without computing them and looks up each
+component's criterion in a ``core.criterion_table``.
 """
 
 from collections.abc import Callable, Iterator
@@ -57,7 +58,9 @@ class Stratum(_Value):
     _fields = __slots__[:2]
 
     def __init__(self, alpha_y, alpha_z):
-        self._store((alpha_y, alpha_z))
+        _set(self, "alpha_y", alpha_y)
+        _set(self, "alpha_z", alpha_z)
+        _set(self, "_key", (alpha_y, alpha_z))
         node_gaps = _node_gaps(alpha_y, alpha_z)
         if min(node_gaps) < 0:
             raise ValueError(
@@ -80,9 +83,11 @@ def enumerate_refined_strata(r: int, d: int) -> Iterator[tuple[tuple[int, ...], 
     validated; ``Stratum(RamSeq(alpha_y, d), RamSeq(alpha_z, d))`` is the
     object form.
     """
-    bound = d - r
-    for alpha_y in combinations_with_replacement(range(bound + 1), r + 1):
-        yield alpha_y, complement_entries(alpha_y, bound)
+    bound = d - r  # zs repeat the index pattern over the values reversed: z[j] = bound - alpha_y[j]
+    ys = combinations_with_replacement(range(bound + 1), r + 1)
+    zs = combinations_with_replacement(range(bound, -1, -1), r + 1)
+    for alpha_y, z in zip(ys, zs):
+        yield alpha_y, z[::-1]
 
 
 def refuse_strata_over_budget(r: int, d: int) -> None:

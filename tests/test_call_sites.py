@@ -9,6 +9,7 @@ each traced kind, and check that the tracer itself still installs.
 """
 
 import importlib
+import inspect
 from math import comb
 from pathlib import Path
 
@@ -49,6 +50,26 @@ def test_strata_yields_once_per_stratum(params, monkeypatch):
     response, code = run({"command": "strata", "params": params})
     assert code == 0
     assert len(strata) == response["payload"]["count"] == comb(7, 3)
+
+
+def test_strata_scan_stays_a_generator_function_the_tracer_counts(monkeypatch):
+    # The tracer counts strata.scanned by the yields of a generator function.
+    # A plain function returning an iterator (a zip, say) still passes
+    # _count_yields, but the tracer would count no stratum.
+    assert inspect.isgeneratorfunction(cli.enumerate_refined_strata)
+    calls = _count_calls(monkeypatch, cli, "enumerate_refined_strata")
+    response, code = run({"command": "strata", "params": {"r": 2, "d": 6, "gy": 1, "gz": 2}})
+    assert code == 0 and calls == [(2, 6)]
+    monkeypatch.undo()
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    tracer = importlib.import_module("spans").Tracer()
+    tracer.install()
+    try:
+        traced, code = run({"command": "strata", "params": {"r": 2, "d": 6, "gy": 1, "gz": 2}})
+    finally:
+        tracer.uninstall()
+    assert (traced, code) == (response, 0)
+    assert tracer.raw()["scanned"] == comb(7, 3)
 
 
 def test_sweep_splits_once_per_nonempty_point_of_genus_two_or_more(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +18,7 @@ from bnseries import (
     to_vanishing,
     zero_ram,
 )
+from bnseries.core import criterion_excess, criterion_table
 
 
 def test_to_vanishing_adds_index():
@@ -115,6 +117,22 @@ def test_criterion_symmetric_in_marked_points():
                 for p in all_problems(g, r, d):
                     swapped = BNProblem(p.g, p.r, p.d, p.alpha2, p.alpha1)
                     assert nonempty_criterion(p) == nonempty_criterion(swapped)
+
+
+def test_criterion_table_sums_to_the_criterion_in_both_orders():
+    cases = 0
+    for g in range(4):
+        for d in range(8):
+            for r in range(min(3, d) + 1):
+                seqs = list(combinations_with_replacement(range(d - r + 1), r + 1))
+                for fixed in seqs:
+                    t = criterion_table(g, r, d, fixed)
+                    assert len(t) == r + 1 and {len(row) for row in t} == {d - r + 1}
+                    for y in seqs:
+                        excess = sum(t[i][y[i]] for i in range(r + 1))
+                        assert excess == criterion_excess(g, r, d, fixed, y) == criterion_excess(g, r, d, y, fixed)
+                        cases += 1
+    assert cases == 52_216  # 4 genera times the sum of C(d+1, r+1)^2
 
 
 def test_sequence_counts():

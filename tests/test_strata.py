@@ -1,6 +1,8 @@
 import math
 from collections import Counter
+from functools import cache
 from itertools import product
+from operator import add, and_, itemgetter
 
 import pytest
 
@@ -185,52 +187,91 @@ def test_refined_is_exact_complementarity_on_every_compatible_pair():
 
 def _strata_requests():
     """Every r <= 3, d <= 8: plain, and with (gy, gz) in {0,1,2}^2 and the
-    first, middle and last sequences as alpha1 and alpha2."""
+    first, middle and last sequences as alpha1 and alpha2.  At r <= 2, d <= 5
+    every pair of sequences, with (gy, gz) in {0,1,2,3}^2."""
     for d in range(9):
         for r in range(min(3, d) + 1):
             yield {"r": r, "d": d}
             seqs = list(all_ram_seqs(r, d))
             picks = sorted({seqs[0], seqs[len(seqs) // 2], seqs[-1]}, key=lambda a: a.entries)
-            for gy, gz in product(range(3), repeat=2):
+            genera = range(3)
+            if r <= 2 and d <= 5:
+                picks, genera = seqs, range(4)
+            for gy, gz in product(genera, repeat=2):
                 for a1, a2 in product(picks, repeat=2):
                     yield {"r": r, "d": d, "gy": gy, "gz": gz, "alpha1": list(a1), "alpha2": list(a2)}
 
 
+_BASE_KEYS = itemgetter("alpha_y", "alpha_z", "fiber_bound", "refined")
+
+
 def test_strata_payload_matches_the_object_api():
+    # The object API's answers are memoized per (r, d), per component side and
+    # per glued problem, and each payload is compared a column at a time, so
+    # the exhaustive pairs stay cheap.
+    @cache
+    def base(r, d):
+        strata = [Stratum(a, refined_complement(a)) for a in all_ram_seqs(r, d)]
+        rows = [(list(s.alpha_y), list(s.alpha_z), fiber_dim_bound(s), s.refined) for s in strata]
+        return strata, rows
+
+    @cache
+    def side(g, alpha, on_y):  # Y's answers depend on (gy, alpha1) only, Z's on (gz, alpha2)
+        r, d = alpha.r, alpha.d
+        two = TwoComponentProblem(g, 0, r, d, alpha, alpha) if on_y else TwoComponentProblem(0, g, r, d, alpha, alpha)
+        problems = [component_problems(two, s)[0 if on_y else 1] for s in base(r, d)[0]]
+        return list(map(rho, problems)), list(map(nonempty_criterion, problems))
+
+    @cache
+    def glued(g, a1, a2):  # the glued problem depends on gy + gz only
+        two = TwoComponentProblem(g, 0, a1.r, a1.d, a1, a2)
+        p = glued_problem(two)
+        assert stratum_expected_dim(two, base(a1.r, a1.d)[0][0]) == rho(p)
+        return rho(p), nonempty_criterion(p)
+
+    ram_seq = cache(RamSeq)
     for params in _strata_requests():
         response, code = run({"command": "strata", "params": params})
         assert code == 0, params
         payload = response["payload"]
         r, d = params["r"], params["d"]
-        two = None
-        if "gy" in params:
-            a1, a2 = RamSeq(tuple(params["alpha1"]), d), RamSeq(tuple(params["alpha2"]), d)
-            two = TwoComponentProblem(params["gy"], params["gz"], r, d, a1, a2)
-            assert payload["glued_rho"] == rho(glued_problem(two))
-        assert [e["alpha_y"] for e in payload["strata"]] == [list(a) for a in all_ram_seqs(r, d)]
-        assert payload["count"] == len(payload["strata"]) == math.comb(d + 1, r + 1)
-        both = []
-        for entry in payload["strata"]:
-            alpha_y = RamSeq(tuple(entry["alpha_y"]), d)
-            s = Stratum(alpha_y, refined_complement(alpha_y))
-            assert entry["alpha_z"] == list(s.alpha_z.entries)
-            assert entry["refined"] == (s.alpha_z == refined_complement(s.alpha_y))
-            assert entry["fiber_bound"] == fiber_dim_bound(s)
-            if two is None:
-                assert len(entry) == 4
-                continue
-            p_y, p_z = component_problems(two, s)
-            assert entry["expected_dim"] == stratum_expected_dim(two, s) == rho(p_y) + rho(p_z)
-            assert entry["y_nonempty"] == nonempty_criterion(p_y)
-            assert entry["z_nonempty"] == nonempty_criterion(p_z)
-            both.append(entry["y_nonempty"] and entry["z_nonempty"])
-        if two is not None:
-            assert payload["nonempty"] == any(both) == nonempty_criterion(glued_problem(two))
+        entries = payload["strata"]
+        assert payload["count"] == len(entries) == math.comb(d + 1, r + 1)
+        assert list(map(_BASE_KEYS, entries)) == base(r, d)[1], params
+        if "gy" not in params:
+            assert list(map(len, entries)) == [4] * len(entries)
+            continue
+        gy, gz = params["gy"], params["gz"]
+        a1, a2 = ram_seq(tuple(params["alpha1"]), d), ram_seq(tuple(params["alpha2"]), d)
+        (rho_y, y_ok), (rho_z, z_ok) = side(gy, a1, True), side(gz, a2, False)
+        glued_rho, glued_nonempty = glued(gy + gz, a1, a2)
+        assert payload["glued_rho"] == glued_rho
+        assert list(map(len, entries)) == [7] * len(entries)
+        assert list(map(itemgetter("expected_dim"), entries)) == list(map(add, rho_y, rho_z)), params
+        assert list(map(itemgetter("y_nonempty"), entries)) == y_ok, params
+        assert list(map(itemgetter("z_nonempty"), entries)) == z_ok, params
+        assert payload["nonempty"] == any(map(and_, y_ok, z_ok)) == glued_nonempty
+
+
+def _counter(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def test_strata_scan_work_counts(monkeypatch):
     # Counts, not timings: the scan reads entry tuples, so no stratum builds a
     # sequence, a Stratum or a BNProblem, and the rebuilds it once made cannot return.
+    # Each component criterion is a lookup in one of two tables of d - r + 1
+    # columns, one gaps call a column, so no stratum calls criterion_excess.
+    from bnseries import cli
+
     built = Counter()
 
     def count(cls, method):
@@ -245,6 +286,9 @@ def test_strata_scan_work_counts(monkeypatch):
     count(core._Seq, "__init__")
     count(BNProblem, "__init__")
     count(Stratum, "__init__")
+    gaps = _counter(monkeypatch, core, "gaps")
+    tables = _counter(monkeypatch, cli, "criterion_table")
+    excess = [_counter(monkeypatch, module, "criterion_excess") for module in (core, cli)]
     params = {"r": 4, "d": 10, "gy": 1, "gz": 2, "alpha1": [0, 0, 1, 1, 2], "alpha2": [0, 1, 1, 2, 2]}
     response, code = run({"command": "strata", "params": params})
     assert code == 0
@@ -255,6 +299,21 @@ def test_strata_scan_work_counts(monkeypatch):
     assert built["Stratum"] == 0
     # the glued problem, parsed once
     assert built["BNProblem"] == 1
+    assert len(tables) == 2
+    assert len(gaps) == 2 * (10 - 4 + 1)
+    assert excess == [[], []]
+    for r, d in ((0, 0), (1, 4), (2, 13), (6, 13)):
+        del gaps[:], tables[:]
+        params = {"r": r, "d": d, "gy": 3, "gz": 0, "alpha1": [0] * (r + 1), "alpha2": [d - r] * (r + 1)}
+        response, code = run({"command": "strata", "params": params})
+        assert code == 0 and response["payload"]["count"] == math.comb(d + 1, r + 1)
+        assert (len(tables), len(gaps), excess) == (2, 2 * (d - r + 1), [[], []])
+    # a request refused by the budget builds no table
+    del gaps[:], tables[:]
+    monkeypatch.setenv("BN_ENUM_BUDGET", "10")
+    response, code = run({"command": "strata", "params": {"r": 1, "d": 5, "gy": 1, "gz": 1}})
+    assert code == 2 and response["diagnostics"][0].startswith("InfeasibleSize")
+    assert tables == gaps == []
 
 
 def _no_strata(r, d):
