@@ -7,13 +7,13 @@ a node where the sequences are exact complements, the outer ends carry the
 imposed alpha1 and alpha2, and every component passes the genus-0/1 base-case
 criterion.  Component rho values then add up to rho of the original problem.
 
-``split_once`` peels one genus-1 component off a genus >= 2 problem.  The
-closed-form candidate (lower the reversed alpha1 complement by one, raising a
-single slot in the equality case) is not always nondecreasing, so we search
-the small family of single-raise variants, sorted, and keep the
-lexicographically smallest candidate that validates on both sides.  The
-candidates are entry tuples, tested with ``core.criterion_excess``; only the
-winning node pair is built as validated sequences.
+``split_once`` peels one genus-1 component off a genus >= 2 problem.  Its
+candidate nodes are the reversed alpha1 complement lowered by one (clamped at
+0), then that sequence with one run's last slot raised, rightmost run first:
+lexicographic order.  It keeps the first valid on both sides in O(r), by
+updating the two sides' criterion sums per candidate.  Two bounded memos
+(1024 entries each, r < 64 only) hold the part that only alpha1 decides, and
+the node pairs built.
 
 ``build_chain`` can take ``tails``, a map from already built chains' problems
 to their components.  A genus-g chain is one genus-1 component followed by
@@ -23,10 +23,9 @@ each new chain costs one split.
 """
 
 import json
+from functools import lru_cache
 
-from .core import (
-    BNProblem, RamSeq, _set, _Value, criterion_excess, nonempty_criterion, rho, rho_from_totals
-)
+from .core import BNProblem, RamSeq, _set, _Value, gaps, nonempty_criterion, rho, rho_from_totals
 from .strata import complement_entries, refined_complement
 
 
@@ -73,27 +72,39 @@ class ChainWitness(_Value):
         _set(self, "_key", (r, d, components, total_rho))
         if not components:
             raise ValueError("a chain needs at least one component")
-        for c in components:
-            if (c.left_ram.r, c.left_ram.d) != (r, d):
+        for c in components:  # kept cheap: it runs for every component of every chain built
+            if c.left_ram.d != d or len(c.left_ram.entries) != r + 1:
                 raise ValueError("component context does not match the chain")
 
 
-def _split_candidates(p: BNProblem) -> list[tuple[int, ...]]:
-    """Candidate node entry tuples alpha_y, lexicographically ordered.
+# split_once's memos: _MEMO_SIZE entries each, for r < _MEMO_R only; about 10 MB in all at worst
+_MEMO_SIZE, _MEMO_R = 1024, 64
 
-    Family: per-slot base value d - r - 1 - alpha1[r - k] clamped to >= 0,
-    plus the variants with exactly one slot raised to d - r - alpha1[r - k],
-    each sorted into nondecreasing order.  Every entry lies in [0, d - r], so
-    each candidate is a valid ramification sequence.
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _genus1_side(alpha1: tuple[int, ...], d: int) -> tuple:
+    """(base, gaps1, order): split_once's candidates as far as alpha1 decides them.
+
+    base[k] = max(0, d - r - 1 - alpha1[r - k]) is nondecreasing, so raising
+    slot k to d - r - alpha1[r - k] and sorting raises the last slot t of k's
+    run: the candidates are base (None), then run ends t from right to left.
+    ``order`` keeps those valid against alpha1, read off base's gaps gaps1:
+    raising t adds 1 to gaps1[r - t], already 1 where the raise changes nothing.
     """
-    r, d = p.r, p.d
-    base = [max(0, d - r - 1 - p.alpha1[r - k]) for k in range(r + 1)]
-    family = {tuple(sorted(base))}
-    for k in range(r + 1):
-        raised = list(base)
-        raised[k] = d - r - p.alpha1[r - k]
-        family.add(tuple(sorted(raised)))
-    return sorted(family)
+    r = len(alpha1) - 1
+    base = tuple([max(0, d - r - 1 - a) for a in reversed(alpha1)])
+    gaps1 = gaps(alpha1, base, d - r - 1)
+    excess = sum(s for s in gaps1 if s > 0)
+    order = [None] if excess <= 1 else []
+    for t in range(r, -1, -1):
+        if (t == r or base[t] < base[t + 1]) and excess + (gaps1[r - t] >= 0) <= 1:
+            order.append(t)
+    return base, gaps1, tuple(order)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _node_pair(alpha_y: tuple[int, ...], d: int) -> tuple[RamSeq, RamSeq]:
+    return RamSeq(alpha_y, d), RamSeq(complement_entries(alpha_y, d - len(alpha_y) + 1), d)
 
 
 def split_once(p: BNProblem) -> tuple[RamSeq, RamSeq]:
@@ -102,21 +113,28 @@ def split_once(p: BNProblem) -> tuple[RamSeq, RamSeq]:
     Returns node sequences (alpha_y, alpha_z) with alpha_z the refined
     complement of alpha_y, such that the genus-1 problem (alpha1, alpha_y)
     and the residual genus-(g-1) problem (alpha_z, alpha2) both satisfy the
-    nonemptiness criterion.  Candidates are tested on their entry tuples;
-    only the winner becomes a pair of RamSeq.
+    nonemptiness criterion; alpha_y is the first such candidate of
+    ``_genus1_side``.  Costs O(r): at a refined node the criterion's gaps of
+    p are the genus-1 gaps plus the residual gaps, and raising slot t of the
+    candidate takes 1 off residual gap r - t.
     """
     if p.g < 2:
         raise ValueError("split_once needs genus >= 2")
-    if not nonempty_criterion(p):
-        raise ValueError("split_once needs a problem satisfying the criterion")
     g, r, d = p.g, p.r, p.d
-    alpha1, alpha2 = p.alpha1.entries, p.alpha2.entries
-    for alpha_y in _split_candidates(p):
-        if criterion_excess(1, r, d, alpha1, alpha_y) > 1:
-            continue
-        alpha_z = complement_entries(alpha_y, d - r)
-        if criterion_excess(g - 1, r, d, alpha_z, alpha2) <= g - 1:
-            return RamSeq(alpha_y, d), RamSeq(alpha_z, d)
+    alpha1 = p.alpha1.entries
+    whole = gaps(alpha1, p.alpha2.entries, d - r - g)  # nonempty_criterion(p), checked before any memo
+    if sum(s for s in whole if s > 0) > g:
+        raise ValueError("split_once needs a problem satisfying the criterion")
+    small = r < _MEMO_R
+    base, gaps1, order = (_genus1_side if small else _genus1_side.__wrapped__)(alpha1, d)
+    excess = 0  # of the residual side at base, whose gaps are whole - gaps1
+    for s, s1 in zip(whole, gaps1):
+        if s > s1:
+            excess += s - s1
+    for t in order:
+        if excess - (t is not None and whole[r - t] > gaps1[r - t]) <= g - 1:
+            alpha_y = base if t is None else base[:t] + (base[t] + 1,) + base[t + 1:]
+            return (_node_pair if small else _node_pair.__wrapped__)(alpha_y, d)
     raise ConstructionFailed(
         f"no valid split for g={p.g}, r={p.r}, d={p.d}, "
         f"alpha1={p.alpha1.entries}, alpha2={p.alpha2.entries}"

@@ -28,6 +28,7 @@ from .chains import (
 from .core import (
     BNProblem,
     VanishingSeq,
+    _comb_floor_log2,
     all_ram_seqs,
     criterion_excess,
     criterion_table,
@@ -310,7 +311,8 @@ def iter_sweep(params: dict) -> Iterator[dict]:
         raise InvalidRequest("alphas must be 'zero' or 'all'")
     if alphas == "all" and d_max > 0:  # at d_max = 0 that slice is the grid, counted exactly below
         k = min(r_max + 1, (d_max + 1) // 2)  # C(d_max + 1, k) is largest at k = (d_max + 1) // 2
-        refuse_over_budget((g_max + 1) * comb(d_max + 1, k) ** 2, "sweep points", at_least=True)
+        refuse_over_budget(lambda: (g_max + 1) * comb(d_max + 1, k) ** 2, "sweep points", at_least=True,
+                           floor_log2=2 * _comb_floor_log2(d_max + 1, k))
     refuse_over_budget(_sweep_points(g_max, r_max, d_max, alphas), "sweep points")
     tails = {}
     for g in range(g_max + 1):

@@ -36,6 +36,7 @@ tuple as hash, without the import cost of ``dataclasses``.
 """
 
 import os
+import sys
 from collections.abc import Iterator
 from itertools import combinations_with_replacement
 
@@ -55,14 +56,21 @@ def _enum_budget() -> int:
         raise RuntimeError(f"BN_ENUM_BUDGET must be an integer, got {raw!r}") from None
 
 
-def refuse_over_budget(size: int, unit: str, at_least: bool = False) -> None:
+def refuse_over_budget(size, unit: str, at_least: bool = False, floor_log2: int = 0) -> None:
     """Raise InfeasibleSize when enumerating ``size`` ``unit`` exceeds the budget.
 
     The budget is _enum_budget(); ``at_least`` marks ``size`` as a lower
     bound.  A size with more decimal digits than int-to-str conversion
-    allows is named by the power of two below it.
+    allows is named by the power of two below it.  ``size`` may be a
+    function computing it, not called when 2^floor_log2 <= size is too long
+    to print (2^(4n) > 10^n for a limit of n digits): that power names it,
+    and it is over the budget, which was parsed from at most n digits.
     """
     limit = _enum_budget()
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < 4 * digits <= floor_log2:
+        raise InfeasibleSize(f"enumeration of at least 2^{floor_log2} {unit} exceeds the budget of {limit}")
+    size = size() if callable(size) else size
     if size > limit:
         try:
             text = str(size)
@@ -70,6 +78,12 @@ def refuse_over_budget(size: int, unit: str, at_least: bool = False) -> None:
             text, at_least = f"2^{size.bit_length() - 1}", True
         bound = "at least " if at_least else ""
         raise InfeasibleSize(f"enumeration of {bound}{text} {unit} exceeds the budget of {limit}")
+
+
+def _comb_floor_log2(n: int, k: int) -> int:
+    """An N with 2^N <= C(n, k) for 0 <= k <= n, in O(1): C(n, m) >= (n / m)^m for m = min(k, n - k)."""
+    m = min(k, n - k)
+    return m * ((n // m).bit_length() - 1) if m else 0
 
 
 _set = object.__setattr__  # how a value class's __init__ sets its fields

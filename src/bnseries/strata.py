@@ -25,7 +25,8 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .core import (
-    BNProblem, RamSeq, _set, _Value, gaps, refuse_over_budget, rho_from_totals, validate_problem
+    BNProblem, RamSeq, _set, _Value, _comb_floor_log2, gaps, refuse_over_budget, rho_from_totals,
+    validate_problem,
 )
 
 
@@ -92,7 +93,7 @@ def enumerate_refined_strata(r: int, d: int) -> Iterator[tuple[tuple[int, ...], 
 
 def refuse_strata_over_budget(r: int, d: int) -> None:
     """Raise InfeasibleSize when the C(d+1, r+1) refined strata exceed the enumeration budget."""
-    refuse_over_budget(comb(d + 1, r + 1), "strata")
+    refuse_over_budget(lambda: comb(d + 1, r + 1), "strata", floor_log2=_comb_floor_log2(d + 1, r + 1))
 
 
 def fiber_dim_bound(s: Stratum) -> int:

@@ -555,6 +555,30 @@ def test_refusal_of_a_size_beyond_the_str_digit_limit_is_infeasible(monkeypatch)
             assert f" at least 2^{size.bit_length() - 1} {unit} " in diagnostic
 
 
+def test_absurd_strata_and_sweep_sizes_are_refused_without_their_binomial(monkeypatch):
+    # C(10^6 + 1, 5 * 10^5 + 1) alone takes seconds to compute, and has far too
+    # many digits to print: the refusal names the lower bound (n / m)^m >= 2^m
+    from bnseries import cli, strata
+
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not 0 < digit_limit <= 4300:
+        pytest.skip("the int-to-str digit limit is off or raised")
+    monkeypatch.delenv("BN_ENUM_BUDGET", raising=False)
+    monkeypatch.setattr(strata, "comb", _never)
+    monkeypatch.setattr(cli, "comb", _never)
+    requests = [
+        ({"command": "strata", "params": {"r": 500000, "d": 1000000}}, "2^500000 strata"),
+        ({"command": "sweep", "params": {"g_max": 0, "r_max": 500000, "d_max": 1000000, "alphas": "all"}},
+         "2^1000000 sweep points"),
+    ]
+    for request, size in requests:
+        assert run(request) == (
+            {"status": "error", "payload": {},
+             "diagnostics": [f"InfeasibleSize: enumeration of at least {size} exceeds the budget of 10000000"]},
+            2,
+        )
+
+
 def _counting_comb(monkeypatch):
     from bnseries import cli
 

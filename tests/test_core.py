@@ -139,3 +139,12 @@ def test_sequence_counts():
     for d in range(8):
         for r in range(d + 1):
             assert len(list(all_ram_seqs(r, d))) == math.comb(d + 1, r + 1)
+
+
+def test_comb_floor_log2_is_a_lower_bound():
+    from bnseries.core import _comb_floor_log2
+
+    for n in range(80):
+        for k in range(n + 1):
+            assert 2 ** _comb_floor_log2(n, k) <= math.comb(n, k), (n, k)
+    assert _comb_floor_log2(10**6 + 1, 5 * 10**5 + 1) == 5 * 10**5
