@@ -38,7 +38,7 @@ class ChainComponent(_Value):
 
     Only structural validity is enforced here; the base-case criterion, the
     stored rho value and the node complements are re-checked independently by
-    ``verify_chain`` so that tampered witnesses are representable and
+    ``chain_violations`` so that tampered witnesses are representable and
     rejected.
     """
 
@@ -224,10 +224,6 @@ def chain_violations(w: ChainWitness, p: BNProblem) -> list[str]:
     return out
 
 
-def verify_chain(w: ChainWitness, p: BNProblem) -> bool:
-    return not chain_violations(w, p)
-
-
 def witness_to_dict(w: ChainWitness) -> dict:
     return {
         "r": w.r,
@@ -250,7 +246,7 @@ def _witness_int(value, what: str) -> int:
     number = int(value)  # first, so a non-numeric string keeps int()'s own message
     if type(value) is not int:  # bool, float and integer strings
         raise ValueError(
-            f"malformed chain witness: {what} must be an integer, got {json.dumps(value)}"
+            f"malformed chain witness: {what} must be an integer, got {json.dumps(value, default=repr)}"
         )
     return number
 

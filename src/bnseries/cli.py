@@ -48,28 +48,19 @@ class InvalidRequest(ValueError):
     """Malformed request: bad JSON, unknown command, or invalid parameters."""
 
 
-# JSON values that int() would accept but that are not integers; a string
-# entry is accepted only through the comma form, whose tokens are base-10
-_NOT_INT = frozenset((bool, float, str))
-
-
 def _parse_seq(value, what: str) -> tuple[int, ...]:
     if isinstance(value, str):  # "" is the empty list; each token is -?[0-9]+ between spaces
         parts = [s.strip() for s in value.split(",")] if value.strip() else []
         bad = next((s for s in parts if not (s.removeprefix("-").isdigit() and s.isascii())), None)
         if bad is not None:
             raise InvalidRequest(f"{what} must contain integers: invalid literal for int() with base 10: {bad!r}")
-    elif isinstance(value, (list, tuple)):
-        parts = value
-        if not _NOT_INT.isdisjoint(map(type, parts)):
-            bad = next(x for x in parts if type(x) in _NOT_INT)
-            raise InvalidRequest(f"{what} must contain integers, got {json.dumps(bad)}")
-    else:
-        raise InvalidRequest(f"{what} must be a comma-separated list of integers")
-    try:
         return tuple(map(int, parts))
-    except (TypeError, ValueError) as exc:
-        raise InvalidRequest(f"{what} must contain integers: {exc}") from exc
+    if not isinstance(value, (list, tuple)):
+        raise InvalidRequest(f"{what} must be a comma-separated list of integers")
+    bad = [x for x in value if type(x) is not int]  # as in _get_int: no bool, float, str or Fraction
+    if bad:
+        raise InvalidRequest(f"{what} must contain integers, got {json.dumps(bad[0], default=repr)}")
+    return tuple(value)
 
 
 def _get_int(params: dict, key: str) -> int:

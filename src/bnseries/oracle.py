@@ -47,7 +47,7 @@ from operator import ge
 from .core import BNProblem, VanishingSeq, _enum_budget, _set, _Value, refuse_over_budget, to_vanishing
 from .elliptic import discriminant, ec_add, ec_neg, is_on_curve, is_prime, point_order
 from .gf import FIELDS, gaussian_binomial
-from .realize import LineBundleDescriptor, generic_bundle, special_bundle
+from .realize import LineBundleDescriptor
 
 
 class FlagProfile(_Value):
@@ -363,7 +363,7 @@ def ec_order_diff(m: EllipticModel) -> int:
 
 def all_descriptors(d: int) -> list[LineBundleDescriptor]:
     """Every bundle class relevant at degree d: generic plus special(0..d)."""
-    return [generic_bundle(d)] + [special_bundle(d, a) for a in range(d + 1)]
+    return [LineBundleDescriptor(d, a) for a in (None, *range(d + 1))]
 
 
 def ec_descriptor_scan(m: EllipticModel, p: BNProblem) -> dict:

@@ -63,14 +63,6 @@ class LineBundleDescriptor(_Value):
         return self.a is not None
 
 
-def generic_bundle(d: int) -> LineBundleDescriptor:
-    return LineBundleDescriptor(d, None)
-
-
-def special_bundle(d: int, a: int) -> LineBundleDescriptor:
-    return LineBundleDescriptor(d, a)
-
-
 def _excess(r: int, d: int, a1: VanishingSeq, a2: VanishingSeq) -> list[int]:
     """a1_j + a2_{r-j} - d for each j, after checking the (r, d) context."""
     if a1.r != r or a2.r != r or a1.d != d or a2.d != d:
@@ -184,8 +176,8 @@ def realize_g1(r: int, d: int, a1: VanishingSeq, a2: VanishingSeq) -> LineBundle
     if max(excess) > 0 or excess.count(0) >= 2:
         return None
     if 0 in excess:
-        return special_bundle(d, a1[excess.index(0)])
-    return generic_bundle(d)
+        return LineBundleDescriptor(d, a1[excess.index(0)])
+    return LineBundleDescriptor(d, None)
 
 
 def richardson_dim(d: int, a1: VanishingSeq, a2: VanishingSeq) -> int | None:

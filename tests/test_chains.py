@@ -1,22 +1,27 @@
+from fractions import Fraction
+
 import pytest
 
-from bnseries import (
+from bnseries.chains import (
     ChainComponent,
     ChainWitness,
+    build_chain,
+    chain_violations,
+    make_component,
+    split_once,
+    witness_from_dict,
+    witness_to_dict,
+)
+from bnseries.core import (
+    BNProblem,
     RamSeq,
     all_problems,
     all_ram_seqs,
-    build_chain,
-    chain_violations,
     criterion_sum,
     nonempty_criterion,
     problem,
     rho,
-    split_once,
-    verify_chain,
 )
-from bnseries.chains import make_component, witness_from_dict, witness_to_dict
-from bnseries.core import BNProblem
 from bnseries.strata import refined_complement
 
 
@@ -74,7 +79,7 @@ def test_build_chain_known_witness():
     ]
     assert [c.component_rho for c in w.components] == [1, 0, 0]
     assert w.total_rho == 1 == rho(p)
-    assert verify_chain(w, p)
+    assert not chain_violations(w, p)
 
 
 def test_build_chain_empty():
@@ -84,10 +89,10 @@ def test_build_chain_empty():
 def test_build_chain_base_cases():
     w0 = build_chain(problem(0, 1, 3, (0, 1), (0, 0)))
     assert [c.genus for c in w0.components] == [0]
-    assert verify_chain(w0, problem(0, 1, 3, (0, 1), (0, 0)))
+    assert not chain_violations(w0, problem(0, 1, 3, (0, 1), (0, 0)))
     w1 = build_chain(problem(1, 1, 3, (1, 2), (0, 0)))
     assert [c.genus for c in w1.components] == [1]
-    assert verify_chain(w1, problem(1, 1, 3, (1, 2), (0, 0)))
+    assert not chain_violations(w1, problem(1, 1, 3, (1, 2), (0, 0)))
 
 
 def test_verify_rejects_perturbed_node():
@@ -99,7 +104,7 @@ def test_verify_rejects_perturbed_node():
     violations = chain_violations(tampered, p)
     assert violations
     assert any("complement" in v for v in violations)
-    assert not verify_chain(tampered, p)
+    assert chain_violations(tampered, p)
 
 
 def test_verify_rejects_wrong_rho_and_endpoints():
@@ -126,13 +131,13 @@ def test_verify_rejects_a_component_that_fails_its_base_case():
     tampered = ChainWitness(1, 2, (ChainComponent(1, seq, seq, -3),), -3)
     assert rho(p) == -3
     assert chain_violations(tampered, p) == ["component 0: genus-1 base-case criterion fails"]
-    assert not verify_chain(tampered, p)
+    assert chain_violations(tampered, p)
 
 
 def test_verify_single_genus1_component():
     p = problem(1, 1, 3, (1, 2), (0, 0))
     w = build_chain(p)
-    assert verify_chain(w, p)
+    assert not chain_violations(w, p)
     # only j = 1 contributes to the criterion sum, with value exactly 1
     assert criterion_sum(p) == 1
 
@@ -154,7 +159,7 @@ def test_soundness_and_completeness_small_grid():
                 for p in all_problems(g, r, d):
                     w = build_chain(p)
                     if nonempty_criterion(p):
-                        assert w is not None and verify_chain(w, p), p
+                        assert w is not None and not chain_violations(w, p), p
                     else:
                         assert w is None, p
 
@@ -217,6 +222,15 @@ def test_witness_from_dict_rejects_float_in_components(key):
         component[key] = float(component[key])
     with pytest.raises(ValueError, match=f"malformed chain witness: {key} must be an integer"):
         witness_from_dict(data)
+
+
+def test_witness_from_dict_names_a_non_json_entry():
+    data = witness_to_dict(build_chain(problem(2, 1, 3)))
+    data["components"][0]["rho"] = Fraction(0)
+    message = 'malformed chain witness: rho must be an integer, got "Fraction(0, 1)"'
+    with pytest.raises(ValueError) as exc:
+        witness_from_dict(data)
+    assert str(exc.value) == message
 
 
 def test_make_component_computes_rho():

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -388,6 +390,24 @@ def test_non_integer_params_are_invalid(params):
     assert code == 1
     assert response["status"] == "error"
     assert response["payload"] == {}
+
+
+@pytest.mark.parametrize(
+    "entry, shown",
+    [
+        (1.7, "1.7"),
+        (True, "true"),
+        ("1", '"1"'),
+        (Fraction(1, 2), '"Fraction(1, 2)"'),  # int() would read it as 0
+        (Decimal("1.9"), '"Decimal(\'1.9\')"'),  # and this as 1
+        (None, "null"),
+        ([0], "[0]"),
+    ],
+)
+def test_sequence_entries_are_exactly_ints(entry, shown):
+    params = {"g": 2, "r": 1, "d": 3, "alpha1": [entry, 1]}
+    response, code = run({"command": "rho", "params": params})
+    assert (response["diagnostics"], code) == ([f"alpha1 must contain integers, got {shown}"], 1)
 
 
 @pytest.mark.parametrize(

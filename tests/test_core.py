@@ -4,13 +4,15 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, strategies as st
 
-from bnseries import (
+from bnseries.core import (
     BNProblem,
     RamSeq,
     VanishingSeq,
     all_problems,
     all_ram_seqs,
+    criterion_excess,
     criterion_sum,
+    criterion_table,
     from_vanishing,
     nonempty_criterion,
     problem,
@@ -18,7 +20,6 @@ from bnseries import (
     to_vanishing,
     zero_ram,
 )
-from bnseries.core import criterion_excess, criterion_table
 
 
 def test_to_vanishing_adds_index():

@@ -6,28 +6,33 @@ from time import perf_counter
 
 import pytest
 
-from bnseries import (
-    EllipticModel,
-    FlagProfile,
+from bnseries import core, oracle
+from bnseries.cli import _dump, run
+from bnseries.core import (
     InfeasibleSize,
     VanishingSeq,
     all_problems,
-    count_series,
-    dim_fit,
-    ec_g1_nonempty,
-    ec_order_diff,
-    load_fixture,
     nonempty_criterion,
     problem,
-    profile_complementary,
-    profile_g1,
     to_vanishing,
 )
-from bnseries import core, oracle
-from bnseries.cli import _dump, run
 from bnseries.gf import FIELDS, gaussian_binomial
-from bnseries.oracle import all_descriptors, ec_descriptor_scan, g0_series_counts, series_counts
-from bnseries.realize import generic_bundle, lead_positions, special_bundle
+from bnseries.oracle import (
+    EllipticModel,
+    FlagProfile,
+    all_descriptors,
+    count_series,
+    dim_fit,
+    ec_descriptor_scan,
+    ec_g1_nonempty,
+    ec_order_diff,
+    g0_series_counts,
+    load_fixture,
+    profile_complementary,
+    profile_g1,
+    series_counts,
+)
+from bnseries.realize import LineBundleDescriptor, lead_positions
 from gf_reference import field_rows, rank, rref_matrices
 
 
@@ -124,12 +129,12 @@ def test_profile_validation():
 
 
 def test_profile_g1_values():
-    assert profile_g1(generic_bundle(3)).h[1][2] == 0
-    assert profile_g1(special_bundle(3, 1)).h[1][2] == 1
+    assert profile_g1(LineBundleDescriptor(3, None)).h[1][2] == 0
+    assert profile_g1(LineBundleDescriptor(3, 1)).h[1][2] == 1
     for bundle in all_descriptors(3):
         assert profile_g1(bundle).h[0][0] == 3
     # a generic bundle sees transverse flags: the complementary profile
-    assert profile_g1(generic_bundle(4)) == profile_complementary(4)
+    assert profile_g1(LineBundleDescriptor(4, None)) == profile_complementary(4)
 
 
 def test_emitted_profiles_are_realizable():
@@ -148,11 +153,11 @@ def test_emitted_profiles_are_realizable():
 
 def test_profile_g1_input_validation():
     # at d = 0 only O has a section: n = h^0(L) is 1 for O and 0 otherwise
-    assert profile_g1(generic_bundle(0)) == _table_profile(0, ((0,),)) == FlagProfile(0, ())
-    assert profile_g1(special_bundle(0, 0)) == _table_profile(1, ((1, 0), (0, 0)))
-    assert profile_g1(special_bundle(0, 0)).orders == ((0, 0),)
+    assert profile_g1(LineBundleDescriptor(0, None)) == _table_profile(0, ((0,),)) == FlagProfile(0, ())
+    assert profile_g1(LineBundleDescriptor(0, 0)) == _table_profile(1, ((1, 0), (0, 0)))
+    assert profile_g1(LineBundleDescriptor(0, 0)).orders == ((0, 0),)
     with pytest.raises(ValueError):
-        profile_g1(generic_bundle(3), diff_order=0)
+        profile_g1(LineBundleDescriptor(3, None), diff_order=0)
 
 
 def test_basis_orders_rejects_unrealizable_table():
@@ -179,18 +184,18 @@ def test_closed_form_profiles_match_the_table_path():
 
 def test_special_profile_with_coinciding_points_is_refused():
     # diff_order 1 puts P1 = P2: the Riemann-Roch table is not a pair of flags
-    n, table = _h0_table(special_bundle(3, 1), 1)
+    n, table = _h0_table(LineBundleDescriptor(3, 1), 1)
     with pytest.raises(ValueError, match="not realizable"):
         _table_orders(n, table)
     for d, a in [(3, 1), (0, 0), (4, 4)]:
         with pytest.raises(ValueError, match="P1 = P2"):
-            profile_g1(special_bundle(d, a), diff_order=1)
+            profile_g1(LineBundleDescriptor(d, a), diff_order=1)
     # a generic bundle has no trivial twist to hit
-    assert profile_g1(generic_bundle(3), diff_order=1) == profile_complementary(3)
+    assert profile_g1(LineBundleDescriptor(3, None), diff_order=1) == profile_complementary(3)
 
 
 def test_profile_g1_concentrated_bundle_keeps_tail():
-    prof = profile_g1(special_bundle(3, 3))
+    prof = profile_g1(LineBundleDescriptor(3, 3))
     assert prof.h[3][0] == 1  # O(dP1) has a section vanishing to order d at P1
     assert prof.h[2][0] == 1
     orders = basis_orders(prof)
@@ -592,8 +597,8 @@ def test_ec_scan_identifies_witness_bundle():
 def test_torsion_pair_merges_special_bundles():
     # with ord(P1 - P2) = 2, the bundles special(0) and special(2) coincide,
     # so their profiles agree and the excluded degenerate locus shows up
-    assert profile_g1(special_bundle(2, 0), diff_order=2) == profile_g1(
-        special_bundle(2, 2), diff_order=2
+    assert profile_g1(LineBundleDescriptor(2, 0), diff_order=2) == profile_g1(
+        LineBundleDescriptor(2, 2), diff_order=2
     )
     torsion = load_fixture("torsion2")
     p = problem(1, 1, 2, (0, 1), (0, 1))

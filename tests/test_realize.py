@@ -5,23 +5,18 @@ from itertools import combinations
 
 import pytest
 
-from bnseries import (
+from bnseries.core import VanishingSeq, all_problems, nonempty_criterion, problem, rho, to_vanishing
+from bnseries.oracle import ec_descriptor_scan, load_fixture
+from bnseries.realize import (
     DegenerateBasis,
     G0Series,
-    VanishingSeq,
-    all_problems,
+    LineBundleDescriptor,
     classify_g1_vanishing,
     g0_vanishing_check,
-    nonempty_criterion,
-    problem,
     realize_g0,
     realize_g1,
-    rho,
     richardson_dim,
-    to_vanishing,
 )
-from bnseries.oracle import ec_descriptor_scan, load_fixture
-from bnseries.realize import generic_bundle, special_bundle
 
 
 def v(entries, d):
@@ -136,18 +131,18 @@ def test_realize_g0_exact_vanishing_grid():
 
 
 def test_classify_g1_vanishing():
-    assert classify_g1_vanishing(generic_bundle(3), 1).entries == (0, 1, 2)
-    assert classify_g1_vanishing(special_bundle(3, 3), 1).entries == (0, 1, 3)
-    assert classify_g1_vanishing(special_bundle(3, 0), 1).entries == (0, 1, 2)
-    assert classify_g1_vanishing(special_bundle(3, 0), 2).entries == (0, 1, 3)
-    assert classify_g1_vanishing(special_bundle(3, 3), 2).entries == (0, 1, 2)
+    assert classify_g1_vanishing(LineBundleDescriptor(3, None), 1).entries == (0, 1, 2)
+    assert classify_g1_vanishing(LineBundleDescriptor(3, 3), 1).entries == (0, 1, 3)
+    assert classify_g1_vanishing(LineBundleDescriptor(3, 0), 1).entries == (0, 1, 2)
+    assert classify_g1_vanishing(LineBundleDescriptor(3, 0), 2).entries == (0, 1, 3)
+    assert classify_g1_vanishing(LineBundleDescriptor(3, 3), 2).entries == (0, 1, 2)
     # degree 0: only O has a section, the constant one
-    assert classify_g1_vanishing(special_bundle(0, 0), 1).entries == (0,)
-    assert classify_g1_vanishing(special_bundle(0, 0), 2).entries == (0,)
+    assert classify_g1_vanishing(LineBundleDescriptor(0, 0), 1).entries == (0,)
+    assert classify_g1_vanishing(LineBundleDescriptor(0, 0), 2).entries == (0,)
     with pytest.raises(ValueError, match="no sections"):
-        classify_g1_vanishing(generic_bundle(0), 1)
+        classify_g1_vanishing(LineBundleDescriptor(0, None), 1)
     for d in range(1, 7):
-        for bundle in [generic_bundle(d)] + [special_bundle(d, a) for a in range(d + 1)]:
+        for bundle in [LineBundleDescriptor(d, a) for a in (None, *range(d + 1))]:
             for at in (1, 2):
                 seq = classify_g1_vanishing(bundle, at)
                 assert all(x < y for x, y in zip(seq.entries, seq.entries[1:]))
@@ -158,7 +153,7 @@ def test_classify_g1_vanishing():
     "call, message",
     [
         (lambda: richardson_dim(3, v((0, 1), 3), v((0, 1, 2), 3)), "vanishing sequences must match the (r, d) context"),
-        (lambda: classify_g1_vanishing(generic_bundle(3), 3), "marked point must be 1 or 2"),
+        (lambda: classify_g1_vanishing(LineBundleDescriptor(3, None), 3), "marked point must be 1 or 2"),
         (lambda: ec_descriptor_scan(load_fixture("general"), problem(2, 1, 3)), "the descriptor scan is a genus-1 oracle"),
     ],
     ids=["richardson-context", "classify-point", "scan-genus"],
@@ -171,9 +166,9 @@ def test_input_checks_raise_their_messages(call, message):
 
 def test_realize_g1_examples():
     b = realize_g1(1, 3, v((1, 3), 3), v((0, 1), 3))
-    assert b == special_bundle(3, 3)
+    assert b == LineBundleDescriptor(3, 3)
     assert realize_g1(1, 2, v((0, 2), 2), v((0, 2), 2)) is None
-    assert realize_g1(0, 1, v((0,), 1), v((0,), 1)) == generic_bundle(1)
+    assert realize_g1(0, 1, v((0,), 1), v((0,), 1)) == LineBundleDescriptor(1, None)
 
 
 def test_realize_g1_matches_criterion_emptiness():

@@ -6,25 +6,21 @@ from operator import add, and_, itemgetter
 
 import pytest
 
-from bnseries import (
-    BNProblem,
-    RamSeq,
+from bnseries import core
+from bnseries.cli import run
+from bnseries.core import BNProblem, RamSeq, all_ram_seqs, nonempty_criterion, rho, zero_ram
+from bnseries.strata import (
     Stratum,
     TwoComponentProblem,
-    all_ram_seqs,
+    component_problems,
     eh_compatible,
     eh_nonempty_two_component,
     enumerate_refined_strata,
     fiber_dim_bound,
-    nonempty_criterion,
+    glued_problem,
     refined_complement,
-    rho,
     stratum_expected_dim,
-    zero_ram,
 )
-from bnseries import core
-from bnseries.cli import run
-from bnseries.strata import component_problems, glued_problem
 
 
 def test_compatibility_examples():
@@ -321,7 +317,8 @@ def _no_strata(r, d):
 
 
 def test_eh_nonempty_refuses_over_budget_before_the_first_stratum(monkeypatch):
-    from bnseries import InfeasibleSize, strata
+    from bnseries import strata
+    from bnseries.core import InfeasibleSize
 
     monkeypatch.setenv("BN_ENUM_BUDGET", "10")
     fits = TwoComponentProblem(1, 1, 1, 4, zero_ram(1, 4), zero_ram(1, 4))  # C(5, 2) = 10 strata

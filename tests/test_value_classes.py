@@ -6,21 +6,11 @@ import pickle
 
 import pytest
 
-from bnseries import (
-    BNProblem,
-    ChainComponent,
-    ChainWitness,
-    EllipticModel,
-    FlagProfile,
-    G0Series,
-    LineBundleDescriptor,
-    RamSeq,
-    Stratum,
-    TwoComponentProblem,
-    VanishingSeq,
-    load_fixture,
-    zero_ram,
-)
+from bnseries.chains import ChainComponent, ChainWitness
+from bnseries.core import BNProblem, RamSeq, VanishingSeq, zero_ram
+from bnseries.oracle import EllipticModel, FlagProfile, load_fixture
+from bnseries.realize import G0Series, LineBundleDescriptor
+from bnseries.strata import Stratum, TwoComponentProblem
 
 A, B = RamSeq((0, 1), 3), RamSeq((1, 2), 3)
 COMPONENT = ChainComponent(1, A, B, 0)
