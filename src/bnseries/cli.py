@@ -39,7 +39,7 @@ from .core import (
     rho_from_totals,
     zero_ram,
 )
-from .oracle import dim_fit, ec_descriptor_scan, g0_series_counts, load_fixture
+from .oracle import dim_fit, ec_descriptor_rows, g0_series_counts, load_fixture
 from .realize import classify_g1_vanishing, g0_vanishing_check, realize_g0, realize_g1, richardson_dim
 from .strata import enumerate_refined_strata, refuse_strata_over_budget
 
@@ -233,33 +233,33 @@ def _cmd_oracle_verify(params: dict):
         }
     if genus == 1:
         p = _build_problem({**params, "g": 1})
-        fixture = params.get("fixture", "general")
+        fixture = params.get("fixture")
+        if fixture is None:  # as for every other optional parameter, null is absent
+            fixture = "general"
         try:
             model = load_fixture(str(fixture))
         except KeyError as exc:
             raise InvalidRequest(f"unknown fixture {fixture!r}") from exc
-        scan = ec_descriptor_scan(model, p)
-        generality_ok = scan["order_diff"] > p.d
+        descriptors, nonempty = [], False
+        for bundle, _, counts, dim, found in ec_descriptor_rows(model, p):
+            descriptors.append(
+                {"bundle": bundle, "counts": [[q, n] for q, n in counts], "dim": dim, "nonempty": found}
+            )
+            nonempty = nonempty or found
+        generality_ok = model.order_diff > p.d
+        criterion = nonempty_criterion(p)
         payload = {
             "genus": 1,
             "fixture": fixture,
-            "order_diff": scan["order_diff"],
+            "order_diff": model.order_diff,
             "generality_ok": generality_ok,
-            "criterion": nonempty_criterion(p),
-            "oracle_nonempty": scan["nonempty"],
-            "descriptors": [
-                {
-                    "bundle": e["bundle"],
-                    "counts": [list(c) for c in e["counts"]],
-                    "dim": e["dim"],
-                    "nonempty": e["nonempty"],
-                }
-                for e in scan["descriptors"]
-            ],
+            "criterion": criterion,
+            "oracle_nonempty": nonempty,
+            "descriptors": descriptors,
         }
         if generality_ok:
-            payload["agree"] = payload["criterion"] == payload["oracle_nonempty"]
-        return ("ok" if scan["nonempty"] else "empty"), payload
+            payload["agree"] = criterion == nonempty
+        return ("ok" if nonempty else "empty"), payload
     raise InvalidRequest("oracle-verify supports genus 0 or 1")
 
 

@@ -123,8 +123,21 @@ class _Value:
         return type(self), self._key
 
 
+def _refuse_non_int(value, what: str):
+    """Raise ValueError for a value whose type is not exactly int (bool included).
+
+    A string is passed to int() first, so one that is no integer keeps int's own message.
+    """
+    if isinstance(value, str):
+        int(value)
+    raise ValueError(f"{what} must be an int, got {value!r}")
+
+
 class _Seq(_Value):
     """Validated integer sequence with its (r, d) context; r is len(entries) - 1.
+
+    The entries and d must be of type int exactly: nothing is coerced, and a
+    bool, float or integer string is refused.
 
     Subclasses set the bound (entries lie in [0, d - _shift * r]), the order
     (each entry is at least the previous one plus _step) and the wording of
@@ -133,13 +146,15 @@ class _Seq(_Value):
 
     __slots__ = _fields = ("entries", "d")
 
-    # valid entries cost one comparison each (scans build many); _reject words a bad one
+    # valid entries cost a type test and one comparison each (scans build many);
+    # _reject words a bad one
     def __init__(self, entries, d):
-        entries = tuple(map(int, entries))
-        d = int(d)
+        entries = tuple(entries)
         _set(self, "entries", entries)
         _set(self, "d", d)
         _set(self, "_key", (entries, d))
+        if type(d) is not int:
+            _refuse_non_int(d, "d")
         if not entries:
             raise ValueError(f"{self._kind} sequence must be nonempty")
         r = len(entries) - 1
@@ -149,13 +164,15 @@ class _Seq(_Value):
         step = self._step
         low = 0  # the least value the next entry may take, never negative
         for a in entries:
-            if not low <= a <= bound:
+            if type(a) is not int or not low <= a <= bound:
                 self._reject(bound)
             low = a + step
 
     def _reject(self, bound):
         r, d, low = self.r, self.d, 0
         for j, a in enumerate(self.entries):
+            if type(a) is not int:
+                _refuse_non_int(a, f"{self._kind} entry {j}")
             if not 0 <= a <= bound:
                 raise ValueError(self._outside.format(j=j, a=a, bound=bound, r=r, d=d))
             if a < low:
@@ -232,6 +249,10 @@ class BNProblem(_Value):
 
 def validate_problem(g: int, r: int, d: int, alpha1: RamSeq, alpha2: RamSeq) -> None:
     """Raise ValueError unless (g, r, d, alpha1, alpha2) is a valid BNProblem."""
+    if type(g) is not int or type(r) is not int or type(d) is not int:
+        for name, value in (("g", g), ("r", r), ("d", d)):
+            if type(value) is not int:
+                _refuse_non_int(value, name)
     if g < 0:
         raise ValueError(f"genus must be nonnegative, got {g}")
     if not 0 <= r <= d:
@@ -246,6 +267,8 @@ def validate_problem(g: int, r: int, d: int, alpha1: RamSeq, alpha2: RamSeq) -> 
 
 
 def zero_ram(r: int, d: int) -> RamSeq:
+    if type(r) is not int:  # (0,) * (r + 1) would raise TypeError, or accept a bool
+        _refuse_non_int(r, "r")
     return RamSeq((0,) * (r + 1), d)
 
 

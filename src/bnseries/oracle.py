@@ -30,8 +30,11 @@ Two ingredients:
   reading the budget once, before any profile or cache is read or built,
   and checks its vanishing sequences once; count_series is series_counts
   read at one q.  The counts at q in gf.FIELDS are the polynomial's values
-  and the locus dimension is its degree; the tests check the histograms
-  against F_q enumeration.
+  and the locus dimension is its degree; _series_counts returns (counts,
+  coefficients, nonempty), decoded once per value at X (_answer): counts
+  repeat, since the d + 2 descriptors of one genus-1 request often share
+  one and the pairs (a1, a2) at one point take few values.  The tests
+  check the histograms against F_q enumeration.
 
 The elliptic model supplies the genus-1 generality certificate: a concrete
 curve over a prime field with marked points whose difference has known group
@@ -42,9 +45,9 @@ reproduces the excluded degeneration where two special bundles coincide.
 import json
 import os
 from functools import lru_cache
-from operator import ge
+from operator import add, ge
 
-from .core import BNProblem, VanishingSeq, _enum_budget, _set, _Value, refuse_over_budget, to_vanishing
+from .core import BNProblem, VanishingSeq, _enum_budget, _set, _Value, refuse_over_budget
 from .elliptic import discriminant, ec_add, ec_neg, is_on_curve, is_prime, point_order
 from .gf import FIELDS, gaussian_binomial
 from .realize import LineBundleDescriptor
@@ -216,32 +219,6 @@ def _rank_count_histogram(q: int, profile: FlagProfile, k: int) -> dict:
     return hist
 
 
-def _counting_polynomial(profile: FlagProfile, k: int, want1, want2) -> tuple[int, ...]:
-    """Coefficients, low to high, of the count of k-subspaces meeting want1, want2.
-
-    The histogram is counted at q = X and cached with X and its slices.  A
-    count is a sum of cell sizes (q - 1)^a q^b, whose coefficients have
-    absolute values summing to 2^a <= 2^a 3^b, so those of any sum of
-    entries sum to at most gaussian_binomial(n, k, 3) < X / 2.  Balanced
-    base-X digits of the count at X are then its coefficients.  The result
-    is () for an empty locus, and its last coefficient is never 0.
-    """
-    key = (profile.orders, k)
-    cached = _HIST_CACHE.get(key)
-    if cached is None:
-        x = 2 ** (gaussian_binomial(profile.n, k, 3).bit_length() + 1)
-        cached = _HIST_CACHE[key] = (x, _rank_count_histogram(x, profile, k), {})
-    x, hist, slices = cached
-    piece = slices.get(want1)
-    if piece is None:
-        merged = {}
-        for (b1, b2), mult in hist.items():
-            if all(map(ge, b1, want1)):
-                merged[b2] = merged.get(b2, 0) + mult
-        piece = slices[want1] = tuple(merged.items())
-    return _balanced_digits(sum(mult for b2, mult in piece if all(map(ge, b2, want2))), x)
-
-
 def _balanced_digits(value: int, x: int) -> tuple[int, ...]:
     """The digits of value in base x, each in (-x/2, x/2), lowest first."""
     digits = []
@@ -290,7 +267,7 @@ def series_counts(profile: FlagProfile, r, a1, a2) -> tuple[list, tuple[int, ...
 
     A subspace counts when its vanishing sequence against flag i dominates
     a_i componentwise.  The coefficients, low to high, are those of the
-    exact counting polynomial in q (see _counting_polynomial), () for an
+    exact counting polynomial in q (see _series_counts), () for an
     empty locus, and the counts are its values, so no subspace is
     enumerated.  The budget (BN_ENUM_BUDGET, default 10^7 subspaces) is a
     policy on the size of the count, not on work done: it is checked for
@@ -300,13 +277,44 @@ def series_counts(profile: FlagProfile, r, a1, a2) -> tuple[list, tuple[int, ...
     one slice sum.
     """
     refuse_subspaces_over_budget(profile.n, r + 1)
-    return _series_counts(profile, *_wanted(profile.n, r, a1, a2))
+    counts, coeffs, _ = _series_counts(profile, *_wanted(profile.n, r, a1, a2))
+    return list(counts), coeffs
 
 
-def _series_counts(profile: FlagProfile, k, want1, want2) -> tuple[list, tuple[int, ...]]:
-    """series_counts past its budget gate and its checks, for rank k and checked entry tuples."""
-    coeffs = _counting_polynomial(profile, k, want1, want2) if k <= profile.n else ()
-    return [(q, _poly_eval(coeffs, q)) for q in FIELDS], coeffs
+@lru_cache(maxsize=1024)
+def _answer(value: int, x: int) -> tuple[tuple, tuple[int, ...], bool]:
+    """(counts at gf.FIELDS, coefficients, nonempty) of the count whose value at q = x is value."""
+    coeffs = _balanced_digits(value, x)
+    counts = tuple((q, _poly_eval(coeffs, q)) for q in FIELDS)
+    return counts, coeffs, any(n > 0 for _, n in counts)
+
+
+def _series_counts(profile: FlagProfile, k, want1, want2) -> tuple[tuple, tuple[int, ...], bool]:
+    """The _answer for rank k and checked entry tuples, past the budget gate and the checks.
+
+    The histogram is counted at q = X and cached with X and its slices.  A
+    count is a sum of cell sizes (q - 1)^a q^b, whose coefficients have
+    absolute values summing to 2^a <= 2^a 3^b, so those of any sum of
+    entries sum to at most gaussian_binomial(n, k, 3) < X / 2.  Balanced
+    base-X digits of the count at X are then its coefficients: () for an
+    empty locus, and the last one is never 0.
+    """
+    if k > profile.n:  # nothing to count
+        return _answer(0, 2)
+    key = (profile.orders, k)
+    cached = _HIST_CACHE.get(key)
+    if cached is None:
+        x = 2 ** (gaussian_binomial(profile.n, k, 3).bit_length() + 1)
+        cached = _HIST_CACHE[key] = (x, _rank_count_histogram(x, profile, k), {})
+    x, hist, slices = cached
+    piece = slices.get(want1)
+    if piece is None:
+        merged = {}
+        for (b1, b2), mult in hist.items():
+            if all(map(ge, b1, want1)):
+                merged[b2] = merged.get(b2, 0) + mult
+        piece = slices[want1] = tuple(merged.items())
+    return _answer(sum(mult for b2, mult in piece if all(map(ge, b2, want2))), x)
 
 
 _PROFILES: dict = {}  # see the module docstring
@@ -319,7 +327,8 @@ def g0_series_counts(d: int, r, a1, a2) -> tuple[list, tuple[int, ...]]:
     k, want1, want2 = _wanted(d + 1, r, a1, a2)
     if k <= d + 1:  # its histograms follow, so the memo holds no orders that _HIST_CACHE lacks
         _PROFILES[d + 1] = profile
-    return _series_counts(profile, k, want1, want2)
+    counts, coeffs, _ = _series_counts(profile, k, want1, want2)
+    return list(counts), coeffs
 
 
 def dim_fit(coeffs) -> int | None:
@@ -366,40 +375,48 @@ def all_descriptors(d: int) -> list[LineBundleDescriptor]:
     return [LineBundleDescriptor(d, a) for a in (None, *range(d + 1))]
 
 
-def ec_descriptor_scan(m: EllipticModel, p: BNProblem) -> dict:
-    """Per-descriptor counting report for a genus-1 problem on the model.
+def ec_descriptor_rows(m: EllipticModel, p: BNProblem) -> list[tuple]:
+    """(bundle, a, counts, dim, nonempty) for each descriptor of a genus-1 problem on the model.
 
     Uses the model's actual difference order, so a torsion pair makes
     coinciding special bundles (and their degenerate loci) visible.  Every
     profile has n = h^0(L) <= max(d, 1) (n = d for d >= 1), and there are
-    d + 2 of them, so one gate refuses an over-budget request before any is built.
+    d + 2 of them, so one gate refuses an over-budget request before any is
+    built.  Rows follow all_descriptors(d), counts as in series_counts.
     """
     if p.g != 1:
         raise ValueError("the descriptor scan is a genus-1 oracle")
     order = m.order_diff
     if order < 2:
         raise ValueError("marked points must be distinct (ord(P1 - P2) >= 2)")
-    refuse_subspaces_over_budget(max(p.d, 1), p.r + 1, p.d + 2)  # all_descriptors(d)
-    # checked once: entries in [0, d], and d <= n for every descriptor
-    a1 = to_vanishing(p.alpha1).entries
-    a2 = to_vanishing(p.alpha2).entries
-    pairs = _PROFILES.get((p.d, order)) or tuple((b, profile_g1(b, order)) for b in all_descriptors(p.d))
-    if p.r + 1 <= max(p.d, 1):  # kept only when histograms follow, as in g0_series_counts
-        _PROFILES[p.d, order] = pairs
-    report = {"order_diff": order, "descriptors": []}
-    for bundle, profile in pairs:
-        counts, coeffs = _series_counts(profile, p.r + 1, a1, a2)
-        report["descriptors"].append(
-            {
-                "bundle": "generic" if bundle.a is None else f"special({bundle.a})",
-                "a": bundle.a,
-                "counts": counts,
-                "dim": dim_fit(coeffs),
-                "nonempty": any(n > 0 for _, n in counts),
-            }
-        )
-    report["nonempty"] = any(entry["nonempty"] for entry in report["descriptors"])
-    return report
+    k = p.r + 1
+    refuse_subspaces_over_budget(max(p.d, 1), k, p.d + 2)  # all_descriptors(d)
+    # p's RamSeqs were checked when built, so a_j = alpha_j + j lies in [0, d], and d <= n
+    a1 = tuple(map(add, p.alpha1.entries, range(k)))
+    a2 = tuple(map(add, p.alpha2.entries, range(k)))
+    named = _PROFILES.get((p.d, order)) or tuple(
+        ("generic" if b.a is None else f"special({b.a})", b.a, profile_g1(b, order)) for b in all_descriptors(p.d)
+    )
+    if k <= max(p.d, 1):  # kept only when histograms follow, as in g0_series_counts
+        _PROFILES[p.d, order] = named
+    rows = []
+    for bundle, a, profile in named:
+        counts, coeffs, nonempty = _series_counts(profile, k, a1, a2)
+        rows.append((bundle, a, counts, dim_fit(coeffs), nonempty))
+    return rows
+
+
+def ec_descriptor_scan(m: EllipticModel, p: BNProblem) -> dict:
+    """Per-descriptor counting report for a genus-1 problem on the model, from ec_descriptor_rows."""
+    rows = ec_descriptor_rows(m, p)
+    return {
+        "order_diff": m.order_diff,
+        "descriptors": [
+            {"bundle": bundle, "a": a, "counts": list(counts), "dim": dim, "nonempty": nonempty}
+            for bundle, a, counts, dim, nonempty in rows
+        ],
+        "nonempty": any(row[4] for row in rows),
+    }
 
 
 def ec_g1_nonempty(m: EllipticModel, p: BNProblem) -> bool:

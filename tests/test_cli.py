@@ -194,6 +194,14 @@ def test_oracle_verify_commands():
     assert response["payload"]["generality_ok"]
 
 
+def test_oracle_verify_null_fixture_is_the_general_one():
+    params = {"genus": 1, "r": 1, "d": 3, "alpha1": "1,2", "alpha2": "0,0"}
+    absent = run({"command": "oracle-verify", "params": params})
+    null = run({"command": "oracle-verify", "params": {**params, "fixture": None}})
+    assert null == absent
+    assert (null[1], null[0]["payload"]["fixture"]) == (0, "general")
+
+
 def test_oracle_verify_holds_profile_tables_against_the_budget(monkeypatch):
     # r + 1 > n = d: no subspace to count, but d + 2 tables of (d + 1)^2 entries
     monkeypatch.delenv("BN_ENUM_BUDGET", raising=False)

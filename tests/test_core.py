@@ -149,3 +149,29 @@ def test_comb_floor_log2_is_a_lower_bound():
         for k in range(n + 1):
             assert 2 ** _comb_floor_log2(n, k) <= math.comb(n, k), (n, k)
     assert _comb_floor_log2(10**6 + 1, 5 * 10**5 + 1) == 5 * 10**5
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: RamSeq((1.7, 1), 3), "ramification entry 0 must be an int, got 1.7"),
+        (lambda: RamSeq((0, 1), 3.9), "d must be an int, got 3.9"),
+        (lambda: problem(1.5, 1, 3), "g must be an int, got 1.5"),
+        (lambda: problem(1, 1.5, 3), "r must be an int, got 1.5"),
+        (lambda: zero_ram(True, 3), "r must be an int, got True"),
+        (lambda: RamSeq((0, True), 3), "ramification entry 1 must be an int, got True"),
+        (lambda: VanishingSeq((0, None), 3), "vanishing entry 1 must be an int, got None"),
+        (lambda: VanishingSeq((0, 1), False), "d must be an int, got False"),
+        (lambda: RamSeq((0, 1), "3"), "d must be an int, got '3'"),
+        (lambda: RamSeq((0, float("inf")), 3), "ramification entry 1 must be an int, got inf"),
+        (lambda: RamSeq((0, float("nan")), 3), "ramification entry 1 must be an int, got nan"),
+        (lambda: VanishingSeq((0, 1), float("nan")), "d must be an int, got nan"),
+        (lambda: BNProblem(1, 1.0, 3, zero_ram(1, 3), zero_ram(1, 3)), "r must be an int, got 1.0"),
+        (lambda: BNProblem(1, 1, True, zero_ram(1, 1), zero_ram(1, 1)), "d must be an int, got True"),
+    ],
+)
+def test_value_classes_refuse_non_integers(build, message):
+    # nothing is coerced: a float, bool or string never stands for an int
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

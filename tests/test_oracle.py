@@ -476,7 +476,7 @@ def test_histogram_at_x_decodes_to_the_numeric_histograms(monkeypatch):
     for prof in {prof.orders: prof for prof in profiles}.values():
         for k in range(1, min(4, prof.n) + 1):
             bottom = tuple(range(k))
-            oracle._counting_polynomial(prof, k, bottom, bottom)
+            oracle._series_counts(prof, k, bottom, bottom)
             x, at_x, _ = oracle._HIST_CACHE[prof.orders, k]
             assert x > 2 * gaussian_binomial(prof.n, k, 3), (prof.orders, k)
             numeric = {q: oracle._rank_count_histogram(q, prof, k) for q in FIELDS}
@@ -620,9 +620,12 @@ def test_descriptor_scan_matches_the_validated_public_path(fixture, monkeypatch)
     # The scan reads memoised profiles and checks each sequence once; the
     # public path rebuilds and re-checks everything.  The first problem at
     # each d builds the memo entry and the others read it.  torsion2 makes
-    # special bundles coincide from d = 2 on.
+    # special bundles coincide from d = 2 on.  The CLI payload, built from
+    # the scan's rows, must be the one the public path gives too.
+    monkeypatch.delenv("BN_ENUM_BUDGET", raising=False)
     monkeypatch.setattr(oracle, "_PROFILES", {})
     model = load_fixture(fixture)
+    order = model.order_diff
     scans = 0
     for d in range(7):
         for r in range(min(2, d) + 1):
@@ -631,12 +634,67 @@ def test_descriptor_scan_matches_the_validated_public_path(fixture, monkeypatch)
                 scan = ec_descriptor_scan(model, p)
                 bundles = all_descriptors(d)
                 assert [e["a"] for e in scan["descriptors"]] == [b.a for b in bundles]
+                descriptors = []
                 for entry, bundle in zip(scan["descriptors"], bundles):
-                    counts, coeffs = series_counts(profile_g1(bundle, model.order_diff), r, a1, a2)
+                    counts, coeffs = series_counts(profile_g1(bundle, order), r, a1, a2)
                     assert (entry["counts"], entry["dim"]) == (counts, dim_fit(coeffs)), (p, bundle)
+                    descriptors.append(
+                        {
+                            "bundle": "generic" if bundle.a is None else f"special({bundle.a})",
+                            "counts": [list(c) for c in counts],
+                            "dim": dim_fit(coeffs),
+                            "nonempty": any(n > 0 for _, n in counts),
+                        }
+                    )
+                nonempty = any(e["nonempty"] for e in descriptors)
+                payload = {
+                    "genus": 1,
+                    "fixture": fixture,
+                    "order_diff": order,
+                    "generality_ok": order > d,
+                    "criterion": nonempty_criterion(p),
+                    "oracle_nonempty": nonempty,
+                    "descriptors": descriptors,
+                }
+                if order > d:
+                    payload["agree"] = payload["criterion"] == nonempty
+                params = {"genus": 1, "r": r, "d": d, "alpha1": list(p.alpha1), "alpha2": list(p.alpha2)}
+                response, code = run({"command": "oracle-verify", "params": {**params, "fixture": fixture}})
+                status = "ok" if nonempty else "empty"
+                assert (_dump(response), code) == (
+                    _dump({"status": status, "payload": payload, "diagnostics": []}),
+                    0,
+                ), p
                 scans += 1
     assert set(oracle._PROFILES) == {(d, model.order_diff) for d in range(7)}
     assert scans == sum(comb(d + 1, r + 1) ** 2 for d in range(7) for r in range(min(2, d) + 1))
+
+
+def test_a_genus_1_request_builds_no_vanishing_seq(monkeypatch):
+    # the scan reads a_j = alpha_j + j off the problem's checked RamSeqs
+    built = []
+    init = VanishingSeq.__init__
+
+    def counted(self, entries, d):
+        built.append(entries)
+        init(self, entries, d)
+
+    monkeypatch.setattr(VanishingSeq, "__init__", counted)
+    params = {"genus": 1, "r": 1, "d": 4, "alpha1": [0, 1], "alpha2": [0, 0]}
+    for fixture in ("general", "torsion2"):
+        response, code = run({"command": "oracle-verify", "params": {**params, "fixture": fixture}})
+        assert code == 0, response
+    assert built == []
+
+
+def test_the_answer_memo_is_bounded():
+    # keyed on (value at X, X), so its size would otherwise grow with the histograms
+    assert isinstance(oracle._answer.cache_info().maxsize, int)
+    oracle._answer.cache_clear()
+    series_counts(profile_complementary(4), 1, (0, 1), (0, 1))
+    series_counts(profile_complementary(4), 1, (0, 1), (0, 1))
+    info = oracle._answer.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def _outcome(call):
