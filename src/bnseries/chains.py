@@ -15,17 +15,19 @@ updating the two sides' criterion sums per candidate.  Two bounded memos
 (1024 entries each, r < 64 only) hold the part that only alpha1 decides, and
 the node pairs built.
 
-``build_chain`` can take ``tails``, a map from already built chains' problems
-to their components.  A genus-g chain is one genus-1 component followed by
-the chain of the residual genus-(g-1) problem, so a caller that visits genus
-g - 1 before genus g (the CLI's ``sweep``) hands over that layer's chains and
-each new chain costs one split.
+``split_once`` and ``_chain_entries`` work on entry tuples; ``build_chain``
+wraps the latter's chain in value objects.  A genus-g chain is one genus-1
+component and then the chain of the residual genus-(g-1) problem, so the
+CLI's ``sweep``, which visits genus g - 1 first, builds only that component
+per chain and reads the rest from that layer.
 """
 
 import json
 from functools import lru_cache
 
-from .core import BNProblem, RamSeq, _set, _Value, gaps, nonempty_criterion, rho, rho_from_totals
+from .core import (
+    BNProblem, RamSeq, _refuse_non_ints, _set, _Value, gaps, nonempty_criterion, rho, rho_from_totals,
+)
 from .strata import complement_entries, refined_complement
 
 
@@ -50,15 +52,12 @@ class ChainComponent(_Value):
         _set(self, "right_ram", right_ram)
         _set(self, "component_rho", component_rho)
         _set(self, "_key", (genus, left_ram, right_ram, component_rho))
+        if type(genus) is not int or type(component_rho) is not int:
+            _refuse_non_ints({"genus": genus, "component_rho": component_rho})
         if genus not in (0, 1):
             raise ValueError("chain components have genus 0 or 1")
         if left_ram.d != right_ram.d or len(left_ram.entries) != len(right_ram.entries):
             raise ValueError("left/right sequences must share the (r, d) context")
-
-
-def make_component(genus: int, left_ram: RamSeq, right_ram: RamSeq) -> ChainComponent:
-    rho_value = rho_from_totals(genus, left_ram.r, left_ram.d, left_ram.total(), right_ram.total())
-    return ChainComponent(genus, left_ram, right_ram, rho_value)
 
 
 class ChainWitness(_Value):
@@ -107,23 +106,26 @@ def _node_pair(alpha_y: tuple[int, ...], d: int) -> tuple[RamSeq, RamSeq]:
     return RamSeq(alpha_y, d), RamSeq(complement_entries(alpha_y, d - len(alpha_y) + 1), d)
 
 
-def split_once(p: BNProblem) -> tuple[RamSeq, RamSeq]:
-    """Split off one genus-1 component from a genus >= 2 problem.
+def split_once(g: int, r: int, d: int, alpha1: tuple, alpha2: tuple) -> tuple[RamSeq, RamSeq]:
+    """Split one genus-1 component off the genus >= 2 problem (g, r, d, alpha1, alpha2) of entry tuples.
 
-    Returns node sequences (alpha_y, alpha_z) with alpha_z the refined
-    complement of alpha_y, such that the genus-1 problem (alpha1, alpha_y)
-    and the residual genus-(g-1) problem (alpha_z, alpha2) both satisfy the
-    nonemptiness criterion; alpha_y is the first such candidate of
-    ``_genus1_side``.  Costs O(r): at a refined node the criterion's gaps of
-    p are the genus-1 gaps plus the residual gaps, and raising slot t of the
-    candidate takes 1 off residual gap r - t.
+    The tuples must be entries of valid sequences in the (r, d) context; they
+    are not checked here.  Returns node sequences (alpha_y, alpha_z) with
+    alpha_z the refined complement of alpha_y, such that the genus-1 problem
+    (alpha1, alpha_y) and the residual genus-(g-1) problem (alpha_z, alpha2)
+    both satisfy the nonemptiness criterion; alpha_y is the first such
+    candidate of ``_genus1_side``.  Costs O(r): at a refined node the
+    problem's criterion gaps are the genus-1 gaps plus the residual gaps, and
+    raising slot t of the candidate takes 1 off residual gap r - t.
     """
-    if p.g < 2:
+    if g < 2:
         raise ValueError("split_once needs genus >= 2")
-    g, r, d = p.g, p.r, p.d
-    alpha1 = p.alpha1.entries
-    whole = gaps(alpha1, p.alpha2.entries, d - r - g)  # nonempty_criterion(p), checked before any memo
-    if sum(s for s in whole if s > 0) > g:
+    whole = gaps(alpha1, alpha2, d - r - g)  # the problem's criterion, checked before any memo
+    total = 0  # a loop: a generator's sum costs twice as much on these short sequences
+    for s in whole:
+        if s > 0:
+            total += s
+    if total > g:
         raise ValueError("split_once needs a problem satisfying the criterion")
     small = r < _MEMO_R
     base, gaps1, order = (_genus1_side if small else _genus1_side.__wrapped__)(alpha1, d)
@@ -135,50 +137,36 @@ def split_once(p: BNProblem) -> tuple[RamSeq, RamSeq]:
         if excess - (t is not None and whole[r - t] > gaps1[r - t]) <= g - 1:
             alpha_y = base if t is None else base[:t] + (base[t] + 1,) + base[t + 1:]
             return (_node_pair if small else _node_pair.__wrapped__)(alpha_y, d)
-    raise ConstructionFailed(
-        f"no valid split for g={p.g}, r={p.r}, d={p.d}, "
-        f"alpha1={p.alpha1.entries}, alpha2={p.alpha2.entries}"
-    )
+    raise ConstructionFailed(f"no valid split for g={g}, r={r}, d={d}, alpha1={alpha1}, alpha2={alpha2}")
 
 
-def tail_key(g: int, d: int, alpha1: tuple[int, ...], alpha2: tuple[int, ...]) -> tuple:
-    """The key in build_chain's tails of problem (g, r, d, alpha1, alpha2).
-
-    alpha1 and alpha2 are entry tuples.  d is part of the key because one
-    entry tuple is a valid sequence under several d; r is not, because it is
-    the tuples' length less one.
-    """
-    return (g, d, alpha1, alpha2)
+def _component(genus: int, r: int, d: int, left: tuple, right: tuple) -> tuple:
+    """A chain component as a (genus, left, right, rho) tuple, its sequences as entry tuples."""
+    return genus, left, right, rho_from_totals(genus, r, d, sum(left), sum(right))
 
 
-def build_chain(p: BNProblem, tails: dict | None = None) -> ChainWitness | None:
+def _chain_entries(g: int, r: int, d: int, alpha1: tuple, alpha2: tuple) -> tuple:
+    """The chain of a problem of entry tuples satisfying the criterion, as ``_component`` tuples."""
+    chain, left = [], alpha1
+    for k in range(g, 1, -1):
+        alpha_y, alpha_z = split_once(k, r, d, left, alpha2)
+        chain.append(_component(1, r, d, left, alpha_y.entries))
+        left = alpha_z.entries
+    chain.append(_component(min(g, 1), r, d, left, alpha2))
+    return tuple(chain)
+
+
+def build_chain(p: BNProblem) -> ChainWitness | None:
     """Construct a verified witness chain, or None when the criterion fails.
 
     Genus 0 and 1 problems become a single component; larger genus peels off
-    genus-1 components by induction via split_once.  ``tails`` maps the
-    ``tail_key`` of problems whose chains are already built to those chains'
-    components: once a split leaves a residual problem found there, its
-    components end the chain.  When those chains were built by this
-    function, the result is the same with or without ``tails``: the rest of
-    the induction would rebuild them.
+    genus-1 components by induction via split_once.
     """
     if not nonempty_criterion(p):
         return None
-    r, d = p.r, p.d
-    components = []
-    current = p
-    while current.g >= 2:
-        alpha_y, alpha_z = split_once(current)
-        components.append(make_component(1, current.alpha1, alpha_y))
-        key = tail_key(current.g - 1, d, alpha_z.entries, current.alpha2.entries)
-        tail = tails.get(key) if tails else None
-        if tail is not None:
-            components.extend(tail)
-            break
-        current = BNProblem(current.g - 1, r, d, alpha_z, current.alpha2)
-    else:
-        components.append(make_component(current.g, current.alpha1, current.alpha2))
-    return ChainWitness(r, d, tuple(components), rho(p))
+    chain = _chain_entries(p.g, p.r, p.d, p.alpha1.entries, p.alpha2.entries)
+    components = tuple(ChainComponent(k, RamSeq(x, p.d), RamSeq(y, p.d), h) for k, x, y, h in chain)
+    return ChainWitness(p.r, p.d, components, rho(p))
 
 
 def chain_violations(w: ChainWitness, p: BNProblem) -> list[str]:
@@ -224,21 +212,17 @@ def chain_violations(w: ChainWitness, p: BNProblem) -> list[str]:
     return out
 
 
+def _chain_dict(r: int, d: int, chain, total_rho: int) -> dict:
+    """The serialized witness of a chain of (genus, left, right, rho) tuples, in lists and dicts of its own."""
+    components = []  # a loop: a comprehension costs about a fifth more on chains this short
+    for k, x, y, h in chain:
+        components.append({"genus": k, "left": [*x], "rho": h, "right": [*y]})
+    return {"components": components, "d": d, "r": r, "total_rho": total_rho}
+
+
 def witness_to_dict(w: ChainWitness) -> dict:
-    return {
-        "r": w.r,
-        "d": w.d,
-        "components": [
-            {
-                "genus": c.genus,
-                "left": list(c.left_ram.entries),
-                "right": list(c.right_ram.entries),
-                "rho": c.component_rho,
-            }
-            for c in w.components
-        ],
-        "total_rho": w.total_rho,
-    }
+    chain = [(c.genus, c.left_ram.entries, c.right_ram.entries, c.component_rho) for c in w.components]
+    return _chain_dict(w.r, w.d, chain, w.total_rho)
 
 
 def _witness_int(value, what: str) -> int:

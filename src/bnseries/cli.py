@@ -18,12 +18,9 @@ from collections.abc import Iterator
 from math import comb
 from operator import getitem
 
+from . import chains  # the sweep calls chains.split_once, so a wrapper installed there counts its splits
 from .chains import (
-    build_chain,
-    chain_violations,
-    tail_key,
-    witness_from_dict,
-    witness_to_dict,
+    _chain_dict, _chain_entries, _component, build_chain, chain_violations, witness_from_dict, witness_to_dict,
 )
 from .core import (
     BNProblem,
@@ -287,9 +284,11 @@ def iter_sweep(params: dict) -> Iterator[dict]:
     An 'all' grid is first held against its largest (r, d_max) slice, one
     binomial, where the exact count takes O(min(r_max, d_max)^2) of them.
     Each (r, d) context's sequences are enumerated and validated once per
-    genus, and a point is decided on their entry tuples and totals; only a
-    nonempty ``chain`` point builds its BNProblem.  Its chain is built on the
-    chains of the previous genus layer, which is all that is kept of them.
+    genus; a point's criterion is a lookup in its alpha1's ``criterion_table``
+    (``criterion_excess`` on 'zero' grids, one point per alpha1).  A nonempty
+    ``chain`` point of genus >= 2 is one ``chains.split_once``, one new genus-1
+    component and its residual's chain from the previous genus layer, kept as
+    tuples (off the grid: ``chains._chain_entries``).  Lines share no mutable object.
     """
     g_max = _get_int(params, "g_max")
     r_max = _get_int(params, "r_max")
@@ -305,28 +304,37 @@ def iter_sweep(params: dict) -> Iterator[dict]:
         refuse_over_budget(lambda: (g_max + 1) * comb(d_max + 1, k) ** 2, "sweep points", at_least=True,
                            floor_log2=2 * _comb_floor_log2(d_max + 1, k))
     refuse_over_budget(_sweep_points(g_max, r_max, d_max, alphas), "sweep points")
-    tails = {}
+    tails = {}  # the previous genus layer's chains, by their (d, alpha1, alpha2) entry tuples
     for g in range(g_max + 1):
-        layer = {}  # build_chain's tails for genus g + 1
+        layer = {}
         for d in range(d_max + 1):
             for r in range(min(r_max, d) + 1):
                 seqs = [zero_ram(r, d)] if alphas == "zero" else list(all_ram_seqs(r, d))
                 totals = [a.total() for a in seqs]
                 for a1, t1 in zip(seqs, totals):
                     e1 = a1.entries
+                    # criterion_excess(g, r, d, e1, y) is sum(table[i][y[i]]), but not worth a table on 'zero' grids
+                    table = criterion_table(g, r, d, e1) if len(seqs) > 1 else None
+                    rho1 = rho_from_totals(g, r, d, t1, 0)  # a point's rho is rho1 - t2
                     for a2, t2 in zip(seqs, totals):
                         e2 = a2.entries
-                        point = {"g": g, "r": r, "d": d, "alpha1": list(e1), "alpha2": list(e2)}
-                        nonempty = criterion_excess(g, r, d, e1, e2) <= g
+                        point = {"alpha1": [*e1], "alpha2": [*e2], "d": d, "g": g, "r": r}
+                        excess = criterion_excess(g, r, d, e1, e2) if table is None else sum(map(getitem, table, e2))
+                        nonempty, rho_value = excess <= g, rho1 - t2
                         if command == "check":
-                            status, payload = _check(nonempty, rho_from_totals(g, r, d, t1, t2))
+                            status, payload = _check(nonempty, rho_value)
                         elif not nonempty:
-                            status, payload = _empty(rho_from_totals(g, r, d, t1, t2))
+                            status, payload = _empty(rho_value)
+                        elif g < 2:
+                            chain = layer[d, e1, e2] = ((g, e1, e2, rho_value),)
+                            status, payload = "ok", _chain_dict(r, d, chain, rho_value)
                         else:
-                            w = build_chain(BNProblem(g, r, d, a1, a2), tails)
-                            layer[tail_key(g, d, e1, e2)] = w.components
-                            status, payload = "ok", witness_to_dict(w)
-                        yield {"params": point, "status": status, "payload": payload}
+                            alpha_y, alpha_z = chains.split_once(g, r, d, e1, e2)
+                            ez = alpha_z.entries
+                            tail = tails.get((d, ez, e2)) or _chain_entries(g - 1, r, d, ez, e2)
+                            chain = layer[d, e1, e2] = (_component(1, r, d, e1, alpha_y.entries), *tail)
+                            status, payload = "ok", _chain_dict(r, d, chain, rho_value)
+                        yield {"params": point, "payload": payload, "status": status}
         tails = layer
 
 
@@ -383,8 +391,11 @@ def run(request: dict) -> tuple[dict, int]:
         return _error(exc)
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # json.dumps would build one per call
+
+
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def _build_parser():
@@ -453,8 +464,9 @@ def _respond(argv) -> int:
         request = _request_from_args(_build_parser().parse_args(argv))
         command, params = _checked(request)
         if command == "sweep":  # streamed, one line per grid point
+            write = sys.stdout.write
             for line in iter_sweep(params):
-                print(_dump(line))
+                write(_dump(line) + "\n")
             return 0
         response, code = run(request)
     except BrokenPipeError:  # not a failure of the request

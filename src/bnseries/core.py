@@ -133,6 +133,13 @@ def _refuse_non_int(value, what: str):
     raise ValueError(f"{what} must be an int, got {value!r}")
 
 
+def _refuse_non_ints(fields: dict) -> None:
+    """_refuse_non_int for the first value of fields, by name, whose type is not exactly int."""
+    for name, value in fields.items():
+        if type(value) is not int:
+            _refuse_non_int(value, name)
+
+
 class _Seq(_Value):
     """Validated integer sequence with its (r, d) context; r is len(entries) - 1.
 
@@ -250,9 +257,7 @@ class BNProblem(_Value):
 def validate_problem(g: int, r: int, d: int, alpha1: RamSeq, alpha2: RamSeq) -> None:
     """Raise ValueError unless (g, r, d, alpha1, alpha2) is a valid BNProblem."""
     if type(g) is not int or type(r) is not int or type(d) is not int:
-        for name, value in (("g", g), ("r", r), ("d", d)):
-            if type(value) is not int:
-                _refuse_non_int(value, name)
+        _refuse_non_ints({"g": g, "r": r, "d": d})
     if g < 0:
         raise ValueError(f"genus must be nonnegative, got {g}")
     if not 0 <= r <= d:
@@ -308,9 +313,13 @@ def criterion_excess(g: int, r: int, d: int, x: tuple[int, ...], y: tuple[int, .
 
 def criterion_table(g: int, r: int, d: int, fixed: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Rows t[i][v] = max(0, fixed[r-i] + v - (d - r - g)) for v in [0, d - r], so that
-    criterion_excess(g, r, d, fixed, y) == criterion_excess(g, r, d, y, fixed) == sum(t[i][y[i]])."""
-    columns = [gaps((v,) * (r + 1), fixed, d - r - g) for v in range(d - r + 1)]
-    return [tuple([s if s > 0 else 0 for s in row]) for row in zip(*columns)]
+    criterion_excess(g, r, d, fixed, y) == criterion_excess(g, r, d, y, fixed) == sum(t[i][y[i]]).
+    Row i counts up from s = gaps((0, ..., 0), fixed, d - r - g)[i], clamped at 0."""
+    n, rows = d - r + 1, []
+    for s in gaps((0,) * (r + 1), fixed, d - r - g):
+        zeros = min(max(-s, 0), n)  # the entries with s + v <= 0
+        rows.append((0,) * zeros + tuple(range(s + zeros, s + n)))
+    return rows
 
 
 def criterion_sum(p: BNProblem) -> int:

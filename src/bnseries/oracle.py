@@ -47,7 +47,7 @@ import os
 from functools import lru_cache
 from operator import add, ge
 
-from .core import BNProblem, VanishingSeq, _enum_budget, _set, _Value, refuse_over_budget
+from .core import BNProblem, VanishingSeq, _enum_budget, _refuse_non_ints, _set, _Value, refuse_over_budget
 from .elliptic import discriminant, ec_add, ec_neg, is_on_curve, is_prime, point_order
 from .gf import FIELDS, gaussian_binomial
 from .realize import LineBundleDescriptor
@@ -65,7 +65,11 @@ class FlagProfile(_Value):
     __slots__ = _fields = ("n", "orders")
 
     def __init__(self, n, orders):
-        orders = tuple(sorted((o1, o2) for o1, o2 in orders))
+        pairs = [(o1, o2) for o1, o2 in orders]  # checked before sorting, which a non-number would break
+        if type(n) is not int or any(type(o) is not int for pair in pairs for o in pair):
+            entries = {f"o{k + 1} of orders[{i}]": o for i, pair in enumerate(pairs) for k, o in enumerate(pair)}
+            _refuse_non_ints({"n": n, **entries})
+        orders = tuple(sorted(pairs))
         _set(self, "n", n)
         _set(self, "orders", orders)
         _set(self, "_key", (n, orders))
@@ -352,6 +356,9 @@ class EllipticModel(_Value):
 
     def __init__(self, p, a, b, p1, p2, order_diff):
         self._store((p, a, b, tuple(p1), tuple(p2), order_diff))
+        (x1, y1), (x2, y2) = self.p1, self.p2
+        _refuse_non_ints({"p": p, "a": a, "b": b, "p1[0]": x1, "p1[1]": y1, "p2[0]": x2, "p2[1]": y2,
+                          "order_diff": order_diff})
         if p < 5 or not is_prime(p):
             raise ValueError(f"{p} is not an odd prime >= 5")
         if discriminant(p, a, b) == 0:

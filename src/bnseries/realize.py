@@ -19,7 +19,7 @@ All linear algebra is exact and division-free, so integer rows stay integer.
 
 from math import gcd, lcm
 
-from .core import VanishingSeq, _set, _Value, gaps
+from .core import VanishingSeq, _refuse_non_ints, _set, _Value, gaps
 
 
 class DegenerateBasis(ValueError):
@@ -53,6 +53,8 @@ class LineBundleDescriptor(_Value):
         _set(self, "d", d)
         _set(self, "a", a)
         _set(self, "_key", (d, a))
+        if type(d) is not int or not (a is None or type(a) is int):
+            _refuse_non_ints({"d": d} if a is None else {"d": d, "a": a})
         if d < 0:
             raise ValueError("degree must be nonnegative")
         if a is not None and not 0 <= a <= d:

@@ -25,8 +25,8 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .core import (
-    BNProblem, RamSeq, _set, _Value, _comb_floor_log2, gaps, refuse_over_budget, rho_from_totals,
-    validate_problem,
+    BNProblem, RamSeq, _refuse_non_ints, _set, _Value, _comb_floor_log2, gaps, refuse_over_budget,
+    rho_from_totals, validate_problem,
 )
 
 
@@ -117,6 +117,7 @@ class TwoComponentProblem(_Value):
 
     def __init__(self, g_y, g_z, r, d, alpha1, alpha2):
         self._store((g_y, g_z, r, d, alpha1, alpha2))
+        _refuse_non_ints({"g_y": g_y, "g_z": g_z})
         if g_y < 0 or g_z < 0:
             raise ValueError("component genera must be nonnegative")
         # the checks of glued_problem, without building it

@@ -5,9 +5,9 @@ import pytest
 from bnseries.chains import (
     ChainComponent,
     ChainWitness,
+    _component,
     build_chain,
     chain_violations,
-    make_component,
     split_once,
     witness_from_dict,
     witness_to_dict,
@@ -25,15 +25,19 @@ from bnseries.core import (
 from bnseries.strata import refined_complement
 
 
+def _entries(p):
+    """split_once's arguments for the problem p."""
+    return p.g, p.r, p.d, p.alpha1.entries, p.alpha2.entries
+
 def test_split_once_strict_case():
-    ay, az = split_once(problem(3, 1, 3))
+    ay, az = split_once(*_entries(problem(3, 1, 3)))
     assert ay.entries == (1, 1)
     assert az.entries == (1, 1)
 
 
 def test_split_once_equality_case_needs_sorting():
     # the closed-form candidate (1, 0) is not nondecreasing; the search finds (0, 1)
-    ay, az = split_once(problem(2, 1, 3, (1, 1), (0, 0)))
+    ay, az = split_once(*_entries(problem(2, 1, 3, (1, 1), (0, 0))))
     assert ay.entries == (0, 1)
     assert az.entries == (1, 2)
 
@@ -41,7 +45,7 @@ def test_split_once_equality_case_needs_sorting():
 def test_split_once_rank_zero():
     # alpha_y = (0) fails the residual side: the genus-1 problem ((2), (1))
     # has criterion sum 2 > 1, so the raised candidate (1) is the split
-    ay, az = split_once(problem(2, 0, 2, (1,), (1,)))
+    ay, az = split_once(*_entries(problem(2, 0, 2, (1,), (1,))))
     assert ay.entries == (1,)
     assert az.entries == (1,)
     assert nonempty_criterion(problem(1, 0, 2, (1,), ay.entries))
@@ -50,9 +54,9 @@ def test_split_once_rank_zero():
 
 def test_split_once_preconditions():
     with pytest.raises(ValueError):
-        split_once(problem(1, 1, 3))
+        split_once(*_entries(problem(1, 1, 3)))
     with pytest.raises(ValueError):
-        split_once(problem(2, 1, 2, (0, 1), (0, 1)))
+        split_once(*_entries(problem(2, 1, 2, (0, 1), (0, 1))))
 
 
 def test_split_once_postconditions_on_grid():
@@ -62,7 +66,7 @@ def test_split_once_postconditions_on_grid():
                 for p in all_problems(g, r, d):
                     if not nonempty_criterion(p):
                         continue
-                    ay, az = split_once(p)
+                    ay, az = split_once(*_entries(p))
                     assert az == refined_complement(ay)
                     assert nonempty_criterion(BNProblem(1, r, d, p.alpha1, ay))
                     assert nonempty_criterion(BNProblem(g - 1, r, d, az, p.alpha2))
@@ -233,6 +237,5 @@ def test_witness_from_dict_names_a_non_json_entry():
     assert str(exc.value) == message
 
 
-def test_make_component_computes_rho():
-    c = make_component(1, RamSeq((0, 0), 3), RamSeq((1, 1), 3))
-    assert c.component_rho == 1
+def test_component_computes_rho():
+    assert _component(1, 1, 3, (0, 0), (1, 1)) == (1, (0, 0), (1, 1), 1)

@@ -14,7 +14,7 @@ import pytest
 from bnseries import chains, core
 from bnseries.chains import ConstructionFailed, split_once
 from bnseries.cli import iter_sweep
-from bnseries.core import BNProblem, RamSeq, criterion_excess, problem
+from bnseries.core import RamSeq, criterion_excess, problem
 from bnseries.strata import complement_entries
 
 MEMOS = (chains._genus1_side, chains._node_pair)
@@ -66,7 +66,7 @@ def test_split_once_chooses_the_reference_split(cold_memos):
                     for a2 in seqs:
                         if criterion_excess(g, r, d, a1.entries, a2.entries) > g:
                             continue
-                        alpha_y, alpha_z = split_once(BNProblem(g, r, d, a1, a2))
+                        alpha_y, alpha_z = split_once(g, r, d, a1.entries, a2.entries)
                         want = reference_split(g, r, d, a1.entries, a2.entries)
                         assert (alpha_y.entries, alpha_z.entries) == want, (g, r, d, a1, a2)
                         assert (alpha_y.d, alpha_z.d) == (d, d)
@@ -109,9 +109,9 @@ def test_a_split_calls_gaps_at_most_twice_and_builds_at_most_two_sequences(r, co
     # the old family scan made r + 2 sorted candidates: O(r^2) at large r
     p = problem(2, r, 2 * r, alpha1=[0] * r + [1], alpha2=[0] * r + [1])
     calls = _count_work(monkeypatch)
-    alpha_y, alpha_z = split_once(p)
+    alpha_y, alpha_z = split_once(p.g, p.r, p.d, p.alpha1.entries, p.alpha2.entries)
     assert calls == {"gaps": 2, "RamSeq": 2}
-    assert split_once(p) == (alpha_y, alpha_z)
+    assert split_once(p.g, p.r, p.d, p.alpha1.entries, p.alpha2.entries) == (alpha_y, alpha_z)
     if r < chains._MEMO_R:  # a repeat reads both memos: one gaps call, for the criterion of p
         assert calls == {"gaps": 3, "RamSeq": 2}
     monkeypatch.undo()
@@ -123,7 +123,7 @@ def test_a_split_calls_gaps_at_most_twice_and_builds_at_most_two_sequences(r, co
 @pytest.mark.parametrize("p", [problem(1, 1, 3), problem(2, 1, 2, (0, 1), (0, 1))])
 def test_a_refused_split_fills_no_memo(p, cold_memos):
     with pytest.raises(ValueError, match="split_once needs"):
-        split_once(p)
+        split_once(p.g, p.r, p.d, p.alpha1.entries, p.alpha2.entries)
     assert [memo.cache_info().currsize for memo in MEMOS] == [0, 0]
 
 
@@ -137,9 +137,9 @@ def test_genus1_side_is_computed_once_per_alpha1_row(cold_memos, monkeypatch):
     rows = set()
     original = chains.split_once
 
-    def counted(p):
-        rows.add(p.alpha1)
-        return original(p)
+    def counted(g, r, d, alpha1, alpha2):
+        rows.add((alpha1, d))
+        return original(g, r, d, alpha1, alpha2)
 
     monkeypatch.setattr(chains, "split_once", counted)
     lines = list(iter_sweep({"g_max": 4, "r_max": 2, "d_max": 5, "command": "chain", "alphas": "all"}))

@@ -189,3 +189,31 @@ ORACLE_ERRORS = [
 )
 def test_constructor_messages(build, message):
     assert _message(build) == message
+
+
+# integer fields take exactly int: no bool, float or integer string, each named in the text
+NON_INT_ERRORS = [
+    (lambda: ChainComponent(1.0, A, B, 0), "genus must be an int, got 1.0"),
+    (lambda: ChainComponent(True, A, B, 0), "genus must be an int, got True"),
+    (lambda: ChainComponent(1, A, B, 0.5), "component_rho must be an int, got 0.5"),
+    (lambda: LineBundleDescriptor(3.5, 1.5), "d must be an int, got 3.5"),
+    (lambda: LineBundleDescriptor(True, None), "d must be an int, got True"),
+    (lambda: LineBundleDescriptor(3, 1.5), "a must be an int, got 1.5"),
+    (lambda: TwoComponentProblem(True, 0, 1, 3, A, B), "g_y must be an int, got True"),
+    (lambda: TwoComponentProblem(0.5, 0.5, 1, 3, A, B), "g_y must be an int, got 0.5"),
+    (lambda: TwoComponentProblem(0, "1", 1, 3, A, B), "g_z must be an int, got '1'"),
+    (lambda: TwoComponentProblem(0, "x", 1, 3, A, B), "invalid literal for int() with base 10: 'x'"),
+    (lambda: FlagProfile(2.0, ((1, 0), (0, 1))), "n must be an int, got 2.0"),
+    (lambda: FlagProfile(2, ((1.0, 0), (0, 1))), "o1 of orders[0] must be an int, got 1.0"),
+    (lambda: FlagProfile(2, ((1, 0), (0, True))), "o2 of orders[1] must be an int, got True"),
+    (lambda: FlagProfile(2, ((1, 0), (None, 1))), "o1 of orders[1] must be an int, got None"),
+    (lambda: EllipticModel(53.0, 0, 1, (52, 0), (0, 1), 6), "p must be an int, got 53.0"),
+    (lambda: EllipticModel(53, 0, True, (52, 0), (0, 1), 6), "b must be an int, got True"),
+    (lambda: EllipticModel(53, 0, 1, (52.0, 0), (0, 1), 6), "p1[0] must be an int, got 52.0"),
+    (lambda: EllipticModel(53, 0, 1, (52, 0), (0, 1), 6.0), "order_diff must be an int, got 6.0"),
+]
+
+
+@pytest.mark.parametrize("build,message", NON_INT_ERRORS, ids=lambda value: value if isinstance(value, str) else None)
+def test_integer_fields_refuse_other_types(build, message):
+    assert _message(build) == message
