@@ -11,24 +11,24 @@ criterion.  Component rho values then add up to rho of the original problem.
 candidate nodes are the reversed alpha1 complement lowered by one (clamped at
 0), then that sequence with one run's last slot raised, rightmost run first:
 lexicographic order.  It keeps the first valid on both sides in O(r), by
-updating the two sides' criterion sums per candidate.  Two bounded memos
-(1024 entries each, r < 64 only) hold the part that only alpha1 decides, and
-the node pairs built.
+updating the two sides' criterion sums per candidate.  One bounded memo
+(1024 entries, r < 64 only) holds the part that only alpha1 decides.
 
-``split_once`` and ``_chain_entries`` work on entry tuples; ``build_chain``
-wraps the latter's chain in value objects.  A genus-g chain is one genus-1
-component and then the chain of the residual genus-(g-1) problem, so the
-CLI's ``sweep``, which visits genus g - 1 first, builds only that component
-per chain and reads the rest from that layer.
+``split_once`` and ``_chain_entries`` take and return entry tuples;
+``build_chain`` wraps the latter's chain in value objects.  A genus-g chain
+is one genus-1 component and then the chain of the residual genus-(g-1)
+problem, so the CLI's ``sweep``, which visits genus g - 1 first, builds only
+that component per chain and reads the rest from that layer.
 """
 
 import json
 from functools import lru_cache
 
 from .core import (
-    BNProblem, RamSeq, _refuse_non_ints, _set, _Value, gaps, nonempty_criterion, rho, rho_from_totals,
+    BNProblem, RamSeq, _refuse_non_ints, _refuse_wrong_kind, _set, _Value, gaps, nonempty_criterion, rho,
+    rho_from_totals,
 )
-from .strata import complement_entries, refined_complement
+from .strata import complement_entries
 
 
 class ConstructionFailed(RuntimeError):
@@ -56,6 +56,8 @@ class ChainComponent(_Value):
             _refuse_non_ints({"genus": genus, "component_rho": component_rho})
         if genus not in (0, 1):
             raise ValueError("chain components have genus 0 or 1")
+        if not (isinstance(left_ram, RamSeq) and isinstance(right_ram, RamSeq)):
+            _refuse_wrong_kind({"left_ram": left_ram, "right_ram": right_ram}, RamSeq)
         if left_ram.d != right_ram.d or len(left_ram.entries) != len(right_ram.entries):
             raise ValueError("left/right sequences must share the (r, d) context")
 
@@ -69,14 +71,20 @@ class ChainWitness(_Value):
         _set(self, "components", components)
         _set(self, "total_rho", total_rho)
         _set(self, "_key", (r, d, components, total_rho))
+        if type(r) is not int or type(d) is not int or type(total_rho) is not int:
+            _refuse_non_ints({"r": r, "d": d, "total_rho": total_rho})
+        if type(components) is not tuple:
+            raise ValueError("components must be a tuple of ChainComponents")
         if not components:
             raise ValueError("a chain needs at least one component")
-        for c in components:  # kept cheap: it runs for every component of every chain built
+        for i, c in enumerate(components):  # kept cheap: it runs for every component of every chain built
+            if type(c) is not ChainComponent:
+                _refuse_wrong_kind({f"components[{i}]": c}, ChainComponent)
             if c.left_ram.d != d or len(c.left_ram.entries) != r + 1:
                 raise ValueError("component context does not match the chain")
 
 
-# split_once's memos: _MEMO_SIZE entries each, for r < _MEMO_R only; about 10 MB in all at worst
+# split_once's memo: _MEMO_SIZE entries, for r < _MEMO_R only; about 6 MB at worst
 _MEMO_SIZE, _MEMO_R = 1024, 64
 
 
@@ -101,17 +109,12 @@ def _genus1_side(alpha1: tuple[int, ...], d: int) -> tuple:
     return base, gaps1, tuple(order)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _node_pair(alpha_y: tuple[int, ...], d: int) -> tuple[RamSeq, RamSeq]:
-    return RamSeq(alpha_y, d), RamSeq(complement_entries(alpha_y, d - len(alpha_y) + 1), d)
-
-
-def split_once(g: int, r: int, d: int, alpha1: tuple, alpha2: tuple) -> tuple[RamSeq, RamSeq]:
+def split_once(g: int, r: int, d: int, alpha1: tuple, alpha2: tuple) -> tuple[tuple, tuple]:
     """Split one genus-1 component off the genus >= 2 problem (g, r, d, alpha1, alpha2) of entry tuples.
 
     The tuples must be entries of valid sequences in the (r, d) context; they
-    are not checked here.  Returns node sequences (alpha_y, alpha_z) with
-    alpha_z the refined complement of alpha_y, such that the genus-1 problem
+    are not checked here.  Returns the node's entry tuples (alpha_y, alpha_z),
+    alpha_z = complement_entries(alpha_y, d - r), such that the genus-1 problem
     (alpha1, alpha_y) and the residual genus-(g-1) problem (alpha_z, alpha2)
     both satisfy the nonemptiness criterion; alpha_y is the first such
     candidate of ``_genus1_side``.  Costs O(r): at a refined node the
@@ -127,8 +130,7 @@ def split_once(g: int, r: int, d: int, alpha1: tuple, alpha2: tuple) -> tuple[Ra
             total += s
     if total > g:
         raise ValueError("split_once needs a problem satisfying the criterion")
-    small = r < _MEMO_R
-    base, gaps1, order = (_genus1_side if small else _genus1_side.__wrapped__)(alpha1, d)
+    base, gaps1, order = (_genus1_side if r < _MEMO_R else _genus1_side.__wrapped__)(alpha1, d)
     excess = 0  # of the residual side at base, whose gaps are whole - gaps1
     for s, s1 in zip(whole, gaps1):
         if s > s1:
@@ -136,7 +138,7 @@ def split_once(g: int, r: int, d: int, alpha1: tuple, alpha2: tuple) -> tuple[Ra
     for t in order:
         if excess - (t is not None and whole[r - t] > gaps1[r - t]) <= g - 1:
             alpha_y = base if t is None else base[:t] + (base[t] + 1,) + base[t + 1:]
-            return (_node_pair if small else _node_pair.__wrapped__)(alpha_y, d)
+            return alpha_y, complement_entries(alpha_y, d - r)
     raise ConstructionFailed(f"no valid split for g={g}, r={r}, d={d}, alpha1={alpha1}, alpha2={alpha2}")
 
 
@@ -150,8 +152,8 @@ def _chain_entries(g: int, r: int, d: int, alpha1: tuple, alpha2: tuple) -> tupl
     chain, left = [], alpha1
     for k in range(g, 1, -1):
         alpha_y, alpha_z = split_once(k, r, d, left, alpha2)
-        chain.append(_component(1, r, d, left, alpha_y.entries))
-        left = alpha_z.entries
+        chain.append(_component(1, r, d, left, alpha_y))
+        left = alpha_z
     chain.append(_component(min(g, 1), r, d, left, alpha2))
     return tuple(chain)
 
@@ -188,10 +190,9 @@ def chain_violations(w: ChainWitness, p: BNProblem) -> list[str]:
             out.append(f"component {i}: stored rho {c.component_rho} != {expected}")
         if not nonempty_criterion(cp):
             out.append(f"component {i}: genus-{c.genus} base-case criterion fails")
-    for i in range(n - 1):
-        right = w.components[i].right_ram
-        left = w.components[i + 1].left_ram
-        if left != refined_complement(right):
+    for i in range(n - 1):  # the witness's components all have the context (w.r, w.d)
+        right = w.components[i].right_ram.entries
+        if w.components[i + 1].left_ram.entries != complement_entries(right, w.d - w.r):
             out.append(f"node {i}: sequences are not exact complements")
     if w.components[0].left_ram != p.alpha1:
         out.append("left endpoint does not carry alpha1")

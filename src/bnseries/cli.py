@@ -26,7 +26,7 @@ from .core import (
     BNProblem,
     VanishingSeq,
     _comb_floor_log2,
-    all_ram_seqs,
+    _ram_entries,
     criterion_excess,
     criterion_table,
     nonempty_criterion,
@@ -34,7 +34,6 @@ from .core import (
     refuse_over_budget,
     rho,
     rho_from_totals,
-    zero_ram,
 )
 from .oracle import dim_fit, ec_descriptor_rows, g0_series_counts, load_fixture
 from .realize import classify_g1_vanishing, g0_vanishing_check, realize_g0, realize_g1, richardson_dim
@@ -283,8 +282,9 @@ def iter_sweep(params: dict) -> Iterator[dict]:
     A grid over the enumeration budget is refused before the first point.
     An 'all' grid is first held against its largest (r, d_max) slice, one
     binomial, where the exact count takes O(min(r_max, d_max)^2) of them.
-    Each (r, d) context's sequences are enumerated and validated once per
-    genus; a point's criterion is a lookup in its alpha1's ``criterion_table``
+    Each (r, d) context's sequences and their totals are enumerated once per
+    genus, as ``core._ram_entries`` tuples that no ``RamSeq`` wraps; a point's
+    criterion is a lookup in its alpha1's ``criterion_table``
     (``criterion_excess`` on 'zero' grids, one point per alpha1).  A nonempty
     ``chain`` point of genus >= 2 is one ``chains.split_once``, one new genus-1
     component and its residual's chain from the previous genus layer, kept as
@@ -309,15 +309,14 @@ def iter_sweep(params: dict) -> Iterator[dict]:
         layer = {}
         for d in range(d_max + 1):
             for r in range(min(r_max, d) + 1):
-                seqs = [zero_ram(r, d)] if alphas == "zero" else list(all_ram_seqs(r, d))
-                totals = [a.total() for a in seqs]
-                for a1, t1 in zip(seqs, totals):
-                    e1 = a1.entries
+                entries = _ram_entries(r, d)
+                seqs = [next(entries)] if alphas == "zero" else list(entries)  # the first is (0, ..., 0)
+                totals = list(map(sum, seqs))
+                for e1, t1 in zip(seqs, totals):
                     # criterion_excess(g, r, d, e1, y) is sum(table[i][y[i]]), but not worth a table on 'zero' grids
                     table = criterion_table(g, r, d, e1) if len(seqs) > 1 else None
                     rho1 = rho_from_totals(g, r, d, t1, 0)  # a point's rho is rho1 - t2
-                    for a2, t2 in zip(seqs, totals):
-                        e2 = a2.entries
+                    for e2, t2 in zip(seqs, totals):
                         point = {"alpha1": [*e1], "alpha2": [*e2], "d": d, "g": g, "r": r}
                         excess = criterion_excess(g, r, d, e1, e2) if table is None else sum(map(getitem, table, e2))
                         nonempty, rho_value = excess <= g, rho1 - t2
@@ -329,10 +328,9 @@ def iter_sweep(params: dict) -> Iterator[dict]:
                             chain = layer[d, e1, e2] = ((g, e1, e2, rho_value),)
                             status, payload = "ok", _chain_dict(r, d, chain, rho_value)
                         else:
-                            alpha_y, alpha_z = chains.split_once(g, r, d, e1, e2)
-                            ez = alpha_z.entries
+                            alpha_y, ez = chains.split_once(g, r, d, e1, e2)
                             tail = tails.get((d, ez, e2)) or _chain_entries(g - 1, r, d, ez, e2)
-                            chain = layer[d, e1, e2] = (_component(1, r, d, e1, alpha_y.entries), *tail)
+                            chain = layer[d, e1, e2] = (_component(1, r, d, e1, alpha_y), *tail)
                             status, payload = "ok", _chain_dict(r, d, chain, rho_value)
                         yield {"params": point, "payload": payload, "status": status}
         tails = layer

@@ -140,6 +140,13 @@ def _refuse_non_ints(fields: dict) -> None:
             _refuse_non_int(value, name)
 
 
+def _refuse_wrong_kind(fields: dict, kind: type) -> None:
+    """Raise ValueError for the first value of fields, by name, that is not a kind instance."""
+    for name, value in fields.items():
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} must be a {kind.__name__}")
+
+
 class _Seq(_Value):
     """Validated integer sequence with its (r, d) context; r is len(entries) - 1.
 
@@ -156,7 +163,10 @@ class _Seq(_Value):
     # valid entries cost a type test and one comparison each (scans build many);
     # _reject words a bad one
     def __init__(self, entries, d):
-        entries = tuple(entries)
+        try:
+            entries = tuple(entries)
+        except TypeError:
+            raise ValueError(f"{self._kind} entries must be a sequence of ints") from None
         _set(self, "entries", entries)
         _set(self, "d", d)
         _set(self, "_key", (entries, d))
@@ -336,12 +346,17 @@ def nonempty_criterion(p: BNProblem) -> bool:
     return criterion_sum(p) <= p.g
 
 
+def _ram_entries(r: int, d: int) -> Iterator[tuple[int, ...]]:
+    """The entry tuples of all_ram_seqs(r, d), in its order and unvalidated; the first is all zero."""
+    return combinations_with_replacement(range(d - r + 1), r + 1)
+
+
 def all_ram_seqs(r: int, d: int) -> Iterator[RamSeq]:
     """All valid ramification sequences for (r, d), in lexicographic order.
 
     There are C(d+1, r+1) of them.
     """
-    for entries in combinations_with_replacement(range(d - r + 1), r + 1):
+    for entries in _ram_entries(r, d):
         yield RamSeq(entries, d)
 
 

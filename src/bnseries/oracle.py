@@ -65,7 +65,10 @@ class FlagProfile(_Value):
     __slots__ = _fields = ("n", "orders")
 
     def __init__(self, n, orders):
-        pairs = [(o1, o2) for o1, o2 in orders]  # checked before sorting, which a non-number would break
+        try:  # checked before sorting, which a non-number would break
+            pairs = [(o1, o2) for o1, o2 in orders]
+        except (TypeError, ValueError):  # not iterable, or an item not a pair
+            raise ValueError("orders must be a sequence of (o1, o2) pairs") from None
         if type(n) is not int or any(type(o) is not int for pair in pairs for o in pair):
             entries = {f"o{k + 1} of orders[{i}]": o for i, pair in enumerate(pairs) for k, o in enumerate(pair)}
             _refuse_non_ints({"n": n, **entries})
@@ -355,8 +358,15 @@ class EllipticModel(_Value):
     __slots__ = _fields = ("p", "a", "b", "p1", "p2", "order_diff")
 
     def __init__(self, p, a, b, p1, p2, order_diff):
-        self._store((p, a, b, tuple(p1), tuple(p2), order_diff))
-        (x1, y1), (x2, y2) = self.p1, self.p2
+        points = []
+        for name, point in (("p1", p1), ("p2", p2)):
+            try:
+                x, y = point
+            except (TypeError, ValueError):  # not iterable, or not two coordinates
+                raise ValueError(f"{name} must be an (x, y) pair") from None
+            points.append((x, y))
+        self._store((p, a, b, *points, order_diff))
+        (x1, y1), (x2, y2) = points
         _refuse_non_ints({"p": p, "a": a, "b": b, "p1[0]": x1, "p1[1]": y1, "p2[0]": x2, "p2[1]": y2,
                           "order_diff": order_diff})
         if p < 5 or not is_prime(p):

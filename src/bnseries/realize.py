@@ -32,10 +32,15 @@ class G0Series(_Value):
     __slots__ = _fields = ("d", "basis")
 
     def __init__(self, d, basis):
-        basis = tuple(tuple(row) for row in basis)
+        try:
+            basis = tuple(tuple(row) for row in basis)
+        except TypeError:
+            raise ValueError("basis must be a sequence of coefficient vectors") from None
         _set(self, "d", d)
         _set(self, "basis", basis)
         _set(self, "_key", (d, basis))
+        if type(d) is not int:
+            _refuse_non_ints({"d": d})
         for row in basis:
             if len(row) != d + 1:
                 raise ValueError(f"coefficient vectors must have length d+1={d + 1}")

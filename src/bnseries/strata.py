@@ -25,8 +25,8 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .core import (
-    BNProblem, RamSeq, _refuse_non_ints, _set, _Value, _comb_floor_log2, gaps, refuse_over_budget,
-    rho_from_totals, validate_problem,
+    BNProblem, RamSeq, _ram_entries, _refuse_non_ints, _refuse_wrong_kind, _set, _Value, _comb_floor_log2,
+    gaps, refuse_over_budget, rho_from_totals, validate_problem,
 )
 
 
@@ -62,6 +62,8 @@ class Stratum(_Value):
         _set(self, "alpha_y", alpha_y)
         _set(self, "alpha_z", alpha_z)
         _set(self, "_key", (alpha_y, alpha_z))
+        if not (isinstance(alpha_y, RamSeq) and isinstance(alpha_z, RamSeq)):
+            _refuse_wrong_kind({"alpha_y": alpha_y, "alpha_z": alpha_z}, RamSeq)
         node_gaps = _node_gaps(alpha_y, alpha_z)
         if min(node_gaps) < 0:
             raise ValueError(
@@ -84,10 +86,9 @@ def enumerate_refined_strata(r: int, d: int) -> Iterator[tuple[tuple[int, ...], 
     validated; ``Stratum(RamSeq(alpha_y, d), RamSeq(alpha_z, d))`` is the
     object form.
     """
-    bound = d - r  # zs repeat the index pattern over the values reversed: z[j] = bound - alpha_y[j]
-    ys = combinations_with_replacement(range(bound + 1), r + 1)
-    zs = combinations_with_replacement(range(bound, -1, -1), r + 1)
-    for alpha_y, z in zip(ys, zs):
+    # zs repeat the index pattern over the values reversed: z[j] = d - r - alpha_y[j]
+    zs = combinations_with_replacement(range(d - r, -1, -1), r + 1)
+    for alpha_y, z in zip(_ram_entries(r, d), zs):
         yield alpha_y, z[::-1]
 
 

@@ -31,25 +31,25 @@ def _entries(p):
 
 def test_split_once_strict_case():
     ay, az = split_once(*_entries(problem(3, 1, 3)))
-    assert ay.entries == (1, 1)
-    assert az.entries == (1, 1)
+    assert ay == (1, 1)
+    assert az == (1, 1)
 
 
 def test_split_once_equality_case_needs_sorting():
     # the closed-form candidate (1, 0) is not nondecreasing; the search finds (0, 1)
     ay, az = split_once(*_entries(problem(2, 1, 3, (1, 1), (0, 0))))
-    assert ay.entries == (0, 1)
-    assert az.entries == (1, 2)
+    assert ay == (0, 1)
+    assert az == (1, 2)
 
 
 def test_split_once_rank_zero():
     # alpha_y = (0) fails the residual side: the genus-1 problem ((2), (1))
     # has criterion sum 2 > 1, so the raised candidate (1) is the split
     ay, az = split_once(*_entries(problem(2, 0, 2, (1,), (1,))))
-    assert ay.entries == (1,)
-    assert az.entries == (1,)
-    assert nonempty_criterion(problem(1, 0, 2, (1,), ay.entries))
-    assert nonempty_criterion(problem(1, 0, 2, az.entries, (1,)))
+    assert ay == (1,)
+    assert az == (1,)
+    assert nonempty_criterion(problem(1, 0, 2, (1,), ay))
+    assert nonempty_criterion(problem(1, 0, 2, az, (1,)))
 
 
 def test_split_once_preconditions():
@@ -67,9 +67,9 @@ def test_split_once_postconditions_on_grid():
                     if not nonempty_criterion(p):
                         continue
                     ay, az = split_once(*_entries(p))
-                    assert az == refined_complement(ay)
-                    assert nonempty_criterion(BNProblem(1, r, d, p.alpha1, ay))
-                    assert nonempty_criterion(BNProblem(g - 1, r, d, az, p.alpha2))
+                    assert RamSeq(az, d) == refined_complement(RamSeq(ay, d))
+                    assert nonempty_criterion(BNProblem(1, r, d, p.alpha1, RamSeq(ay, d)))
+                    assert nonempty_criterion(BNProblem(g - 1, r, d, RamSeq(az, d), p.alpha2))
 
 
 def test_build_chain_known_witness():

@@ -501,8 +501,7 @@ def test_sweep_over_budget_is_refused_before_enumerating(monkeypatch, capsys):
     fits = {"g_max": 1, "r_max": 0, "d_max": 1, "command": "chain", "alphas": "all"}
     response, code = run({"command": "sweep", "params": fits})
     assert code == 0 and len(response["payload"]["points"]) == 10
-    monkeypatch.setattr(cli, "all_ram_seqs", _no_sweep_enumeration)
-    monkeypatch.setattr(cli, "zero_ram", _no_sweep_enumeration)
+    monkeypatch.setattr(cli, "_ram_entries", _no_sweep_enumeration)  # both grids enumerate through it
     refusal = ["InfeasibleSize: enumeration of 11 sweep points exceeds the budget of 10"]
     # 11 genera of one point each, and 11 contexts (0, d) of one zero point each
     for params in (
@@ -565,7 +564,7 @@ def test_refusal_of_a_size_beyond_the_str_digit_limit_is_infeasible(monkeypatch)
 
     monkeypatch.delenv("BN_ENUM_BUDGET", raising=False)
     monkeypatch.setattr(cli, "enumerate_refined_strata", _no_enumeration)
-    monkeypatch.setattr(cli, "all_ram_seqs", _no_sweep_enumeration)
+    monkeypatch.setattr(cli, "_ram_entries", _no_sweep_enumeration)
     strata = comb(15001, 7001)  # about 4,500 decimal digits
     requests = [
         ({"command": "strata", "params": {"r": 7000, "d": 15000}}, strata, "strata"),
@@ -664,7 +663,7 @@ def _stop_enumeration(r, d):
 def test_sweep_lower_bound_never_refuses_a_grid_within_budget(monkeypatch):
     from bnseries import cli
 
-    monkeypatch.setattr(cli, "all_ram_seqs", _stop_enumeration)
+    monkeypatch.setattr(cli, "_ram_entries", _stop_enumeration)
     for g_max in range(3):
         for r_max in range(5):
             for d_max in range(7):
@@ -733,6 +732,31 @@ def test_closed_stdout_ends_quietly_with_exit_2():
         stderr = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 2
     assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
+
+
+def test_every_input_form_runs_clean_in_dev_mode_with_warnings_as_errors(tmp_path):
+    # -X dev shows ResourceWarnings and other runtime checks, -W error makes each one fatal;
+    # the in-process tests' filterwarnings setting does not reach a child process
+    python = [sys.executable, "-X", "dev", "-W", "error", "-m", "bnseries.cli"]
+    params = {"g": 3, "r": 1, "d": 3}
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps(run({"command": "chain", "params": params})[0]))
+    request = json.dumps({"command": "check", "params": params})
+    for argv, stdin in (
+        (["check", "--g", "3", "--r", "1", "--d", "3"], None),
+        (["--json", request], None),
+        (["--json", "-"], request),
+        (["chain", "--g", "3", "--r", "1", "--d", "3", "--verify", "--witness-file", str(witness)], None),
+    ):
+        proc = subprocess.run(python + argv, input=stdin, capture_output=True, text=True, env=child_env())
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        assert json.loads(proc.stdout)["status"] == "ok", argv
+    argv = ["sweep", "--g-max", "6", "--r-max", "2", "--d-max", "5", "--alphas", "all", "--command", "chain"]
+    with subprocess.Popen(python + argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()) as proc:
+        assert json.loads(proc.stdout.readline())["status"] == "ok"
+        proc.stdout.close()  # the reader goes away with most of the sweep still to write
+        stderr = proc.stderr.read().decode()
+        assert (proc.wait(timeout=60), stderr) == (2, "")
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,14 @@
 """``split_once``: its choice against the candidate family it replaces, and its work.
 
-The reference builds the whole family of node candidates, sorted and
+``split_once`` returns the node's entry tuples, never ``RamSeq``s.  The
+reference builds the whole family of node candidates, sorted and
 deduplicated, and tests each on both sides with ``criterion_excess``: O(r)
 candidates of O(r) entries each.  ``split_once`` must pick the same first
 valid candidate from its O(r) scan.  The work tests count calls, not time,
-and clear the two memos first.
+and clear the memo first.
 """
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 
 import pytest
 
@@ -17,7 +18,7 @@ from bnseries.cli import iter_sweep
 from bnseries.core import RamSeq, criterion_excess, problem
 from bnseries.strata import complement_entries
 
-MEMOS = (chains._genus1_side, chains._node_pair)
+MEMOS = (chains._genus1_side,)
 
 
 @pytest.fixture
@@ -68,10 +69,31 @@ def test_split_once_chooses_the_reference_split(cold_memos):
                             continue
                         alpha_y, alpha_z = split_once(g, r, d, a1.entries, a2.entries)
                         want = reference_split(g, r, d, a1.entries, a2.entries)
-                        assert (alpha_y.entries, alpha_z.entries) == want, (g, r, d, a1, a2)
-                        assert (alpha_y.d, alpha_z.d) == (d, d)
+                        assert (alpha_y, alpha_z) == want, (g, r, d, a1, a2)
+                        assert (RamSeq(alpha_y, d).d, RamSeq(alpha_z, d).d) == (d, d)  # both valid in (r, d)
                         checked += 1
     assert checked == 12_849
+
+
+@pytest.mark.parametrize("r_max, d_max, splits", [(3, 6, 1050), (chains._MEMO_R, chains._MEMO_R + 2, 4347)])
+def test_split_once_returns_a_pair_of_entry_tuples(r_max, d_max, splits, cold_memos):
+    # from _MEMO_R on the split reads no memo; the second grid covers both sides of it
+    checked = 0
+    for g in (2, 3):
+        for d in range(d_max - 2, d_max + 1):
+            for r in range(r_max - 3, min(r_max, d) + 1):
+                seqs = list(islice(combinations_with_replacement(range(d - r + 1), r + 1), 40))
+                for a1 in seqs:
+                    for a2 in seqs:
+                        if criterion_excess(g, r, d, a1, a2) > g:
+                            continue
+                        pair = split_once(g, r, d, a1, a2)
+                        assert type(pair) is tuple and len(pair) == 2
+                        alpha_y, alpha_z = pair
+                        assert type(alpha_y) is tuple and type(alpha_z) is tuple
+                        assert alpha_z == complement_entries(alpha_y, d - r), (g, r, d, a1, a2)
+                        checked += 1
+    assert checked == splits
 
 
 def test_genus1_side_lists_the_reference_candidates_valid_against_alpha1(cold_memos):
@@ -110,21 +132,21 @@ def test_a_split_calls_gaps_at_most_twice_and_builds_at_most_two_sequences(r, co
     p = problem(2, r, 2 * r, alpha1=[0] * r + [1], alpha2=[0] * r + [1])
     calls = _count_work(monkeypatch)
     alpha_y, alpha_z = split_once(p.g, p.r, p.d, p.alpha1.entries, p.alpha2.entries)
-    assert calls == {"gaps": 2, "RamSeq": 2}
+    assert calls == {"gaps": 2, "RamSeq": 0}
     assert split_once(p.g, p.r, p.d, p.alpha1.entries, p.alpha2.entries) == (alpha_y, alpha_z)
-    if r < chains._MEMO_R:  # a repeat reads both memos: one gaps call, for the criterion of p
-        assert calls == {"gaps": 3, "RamSeq": 2}
+    if r < chains._MEMO_R:  # a repeat reads the memo: one gaps call, for the criterion of p
+        assert calls == {"gaps": 3, "RamSeq": 0}
     monkeypatch.undo()
-    assert alpha_z.entries == complement_entries(alpha_y.entries, r)
-    assert criterion_excess(1, r, 2 * r, p.alpha1.entries, alpha_y.entries) <= 1
-    assert criterion_excess(1, r, 2 * r, alpha_z.entries, p.alpha2.entries) <= 1
+    assert alpha_z == complement_entries(alpha_y, r)
+    assert criterion_excess(1, r, 2 * r, p.alpha1.entries, alpha_y) <= 1
+    assert criterion_excess(1, r, 2 * r, alpha_z, p.alpha2.entries) <= 1
 
 
 @pytest.mark.parametrize("p", [problem(1, 1, 3), problem(2, 1, 2, (0, 1), (0, 1))])
 def test_a_refused_split_fills_no_memo(p, cold_memos):
     with pytest.raises(ValueError, match="split_once needs"):
         split_once(p.g, p.r, p.d, p.alpha1.entries, p.alpha2.entries)
-    assert [memo.cache_info().currsize for memo in MEMOS] == [0, 0]
+    assert [memo.cache_info().currsize for memo in MEMOS] == [0]
 
 
 def test_memos_are_bounded():

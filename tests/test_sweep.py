@@ -5,7 +5,7 @@ The reference answers each grid point on its own, as the ``check`` and
 whole chain.  The grids cover r = 1 over d = 2..6, where one entry tuple is
 a valid sequence under several d, so chains looked up under a key without d
 would come from the wrong context.  The ``zero`` grids take the sweep's
-``build_chain`` path for residuals off the grid.
+``chains._chain_entries`` path for residuals off the grid.
 """
 
 from collections import Counter
@@ -101,7 +101,7 @@ def test_lines_share_no_mutable_object(alphas):
 def test_sweep_work_counts(monkeypatch):
     # Counts, not timings, line by line: a nonempty point of genus g >= 2 is
     # one split, on the previous genus's chains, and no point builds a
-    # problem, a component or a witness.
+    # problem, a component, a witness or a sequence.
     counts = Counter()
     split_once = chains.split_once
 
@@ -110,7 +110,7 @@ def test_sweep_work_counts(monkeypatch):
         return split_once(*args)
 
     monkeypatch.setattr(chains, "split_once", counted_split)
-    for cls in (core.BNProblem, chains.ChainComponent, chains.ChainWitness):
+    for cls in (core.BNProblem, core.RamSeq, chains.ChainComponent, chains.ChainWitness):
         def counted_init(self, *args, _init=cls.__init__, _name=cls.__name__):
             counts[_name] += 1
             _init(self, *args)

@@ -134,6 +134,8 @@ SEQ_ERRORS = [
     (lambda: VanishingSeq((0, 4), 3), "entry a_1=4 outside [0, 3]"),
     (lambda: VanishingSeq((1, 1), 3), "entries not strictly increasing at index 1"),
     (lambda: RamSeq(("x",), 3), "invalid literal for int() with base 10: 'x'"),
+    (lambda: RamSeq(None, 3), "ramification entries must be a sequence of ints"),
+    (lambda: VanishingSeq(5, 3), "vanishing entries must be a sequence of ints"),
 ]
 PROBLEM_ERRORS = [
     (lambda: BNProblem(-1, 1, 3, A, B), "genus must be nonnegative, got -1"),
@@ -151,6 +153,8 @@ PROBLEM_ERRORS = [
     (lambda: TwoComponentProblem(-1, 0, 1, 3, A, B), "component genera must be nonnegative"),
     (lambda: TwoComponentProblem(0, -2, 1, 3, A, B), "component genera must be nonnegative"),
     (lambda: TwoComponentProblem(0, 0, 1, 3, A, A.entries), "alpha2 must be a RamSeq"),
+    (lambda: Stratum((0, 1), (1, 1)), "alpha_y must be a RamSeq"),
+    (lambda: Stratum(A, [1, 2]), "alpha_z must be a RamSeq"),
 ]
 CHAIN_ERRORS = [
     (lambda: ChainComponent(2, A, B, 0), "chain components have genus 0 or 1"),
@@ -160,12 +164,19 @@ CHAIN_ERRORS = [
     ),
     (lambda: ChainWitness(1, 3, (), 0), "a chain needs at least one component"),
     (lambda: ChainWitness(1, 4, (COMPONENT,), 0), "component context does not match the chain"),
+    (lambda: ChainComponent(1, (0, 1), B, 0), "left_ram must be a RamSeq"),
+    (lambda: ChainComponent(1, A, VanishingSeq((1, 2), 3), 0), "right_ram must be a RamSeq"),
+    (lambda: ChainWitness(1, 3, (1, 2), 0), "components[0] must be a ChainComponent"),
+    (lambda: ChainWitness(1, 3, (COMPONENT, A), 0), "components[1] must be a ChainComponent"),
+    (lambda: ChainWitness(1, 3, [COMPONENT], 0), "components must be a tuple of ChainComponents"),
 ]
 REALIZE_ERRORS = [
     (lambda: G0Series(2, ((1, 0),)), "coefficient vectors must have length d+1=3"),
     (lambda: LineBundleDescriptor(-1, None), "degree must be nonnegative"),
     (lambda: LineBundleDescriptor(3, 4), "special descriptor needs 0 <= a <= d, got a=4"),
     (lambda: LineBundleDescriptor(3, -1), "special descriptor needs 0 <= a <= d, got a=-1"),
+    (lambda: G0Series(2, None), "basis must be a sequence of coefficient vectors"),
+    (lambda: G0Series(2, (1, 0, 0)), "basis must be a sequence of coefficient vectors"),
 ]
 ORACLE_ERRORS = [
     (lambda: FlagProfile(-1, ()), "profile dimension must be >= 0"),
@@ -179,6 +190,10 @@ ORACLE_ERRORS = [
         lambda: EllipticModel(53, 0, 1, (52, 0), (0, 1), 5),
         "stored order_diff 5 != ord(P1 - P2) = 6",
     ),
+    (lambda: FlagProfile(2, None), "orders must be a sequence of (o1, o2) pairs"),
+    (lambda: FlagProfile(2, ((0, 1), (1, 0, 2))), "orders must be a sequence of (o1, o2) pairs"),
+    (lambda: EllipticModel(53, 0, 1, None, (0, 1), 6), "p1 must be an (x, y) pair"),
+    (lambda: EllipticModel(53, 0, 1, (52, 0), (0, 1, 0), 6), "p2 must be an (x, y) pair"),
 ]
 
 
@@ -211,6 +226,11 @@ NON_INT_ERRORS = [
     (lambda: EllipticModel(53, 0, True, (52, 0), (0, 1), 6), "b must be an int, got True"),
     (lambda: EllipticModel(53, 0, 1, (52.0, 0), (0, 1), 6), "p1[0] must be an int, got 52.0"),
     (lambda: EllipticModel(53, 0, 1, (52, 0), (0, 1), 6.0), "order_diff must be an int, got 6.0"),
+    (lambda: ChainWitness(1.0, 3, (COMPONENT,), 1), "r must be an int, got 1.0"),
+    (lambda: ChainWitness(1, True, (COMPONENT,), 1), "d must be an int, got True"),
+    (lambda: ChainWitness(1, 3, (COMPONENT,), 1.5), "total_rho must be an int, got 1.5"),
+    (lambda: G0Series(2.0, ((1, 0, 0),)), "d must be an int, got 2.0"),
+    (lambda: G0Series("2", ((1, 0, 0),)), "d must be an int, got '2'"),
 ]
 
 
