@@ -35,7 +35,7 @@ from .core import (
     rho,
     rho_from_totals,
 )
-from .oracle import dim_fit, ec_descriptor_rows, g0_series_counts, load_fixture
+from .oracle import dim_fit, ec_descriptor_rows, g0_series_counts, is_general, load_fixture
 from .realize import classify_g1_vanishing, g0_vanishing_check, realize_g0, realize_g1, richardson_dim
 from .strata import enumerate_refined_strata, refuse_strata_over_budget
 
@@ -242,7 +242,7 @@ def _cmd_oracle_verify(params: dict):
                 {"bundle": bundle, "counts": [[q, n] for q, n in counts], "dim": dim, "nonempty": found}
             )
             nonempty = nonempty or found
-        generality_ok = model.order_diff > p.d
+        generality_ok = is_general(model, p.d)
         criterion = nonempty_criterion(p)
         payload = {
             "genus": 1,

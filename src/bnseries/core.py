@@ -240,11 +240,6 @@ def to_vanishing(alpha: RamSeq) -> VanishingSeq:
     return VanishingSeq(tuple(a + j for j, a in enumerate(alpha)), alpha.d)
 
 
-def from_vanishing(a: VanishingSeq) -> RamSeq:
-    """Inverse of to_vanishing: alpha_j = a_j - j."""
-    return RamSeq(tuple(x - j for j, x in enumerate(a)), a.d)
-
-
 class BNProblem(_Value):
     """A two-point problem (g, r, d, alpha1, alpha2).
 
@@ -358,11 +353,3 @@ def all_ram_seqs(r: int, d: int) -> Iterator[RamSeq]:
     """
     for entries in _ram_entries(r, d):
         yield RamSeq(entries, d)
-
-
-def all_problems(g: int, r: int, d: int) -> Iterator[BNProblem]:
-    """All two-point problems for fixed (g, r, d), over every (alpha1, alpha2)."""
-    seqs = list(all_ram_seqs(r, d))
-    for a1 in seqs:
-        for a2 in seqs:
-            yield BNProblem(g, r, d, a1, a2)

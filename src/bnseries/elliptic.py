@@ -4,11 +4,9 @@ Curves are y^2 = x^3 + a*x + b over F_p with p >= 5 and nonzero discriminant.
 Points are (x, y) pairs of integers mod p; None is the point at infinity.
 Everything here is brute-force exact arithmetic at desk scale: point orders
 are found by repeated addition.  The oracle uses it to check each stored
-fixture model when it loads; curve_points and ec_mul are the tests'
-references for the group law.
+fixture model when it loads.
 """
 
-from collections.abc import Iterator
 from math import isqrt
 
 Point = tuple[int, int] | None
@@ -50,19 +48,6 @@ def ec_add(p: int, a: int, pt1: Point, pt2: Point) -> Point:
     return (x3, y3)
 
 
-def ec_mul(p: int, a: int, pt: Point, n: int) -> Point:
-    if n < 0:
-        return ec_mul(p, a, ec_neg(p, pt), -n)
-    result = None
-    addend = pt
-    while n:
-        if n & 1:
-            result = ec_add(p, a, result, addend)
-        addend = ec_add(p, a, addend, addend)
-        n >>= 1
-    return result
-
-
 def point_order(p: int, a: int, pt: Point) -> int:
     """Order of a point in the group, by repeated addition."""
     order = 1
@@ -73,17 +58,6 @@ def point_order(p: int, a: int, pt: Point) -> int:
         if order > p + 1 + 2 * isqrt(p) + 2:
             raise RuntimeError("point order exceeded the Hasse bound; bad curve data")
     return order if pt is not None else 1
-
-
-def curve_points(p: int, a: int, b: int) -> Iterator[tuple[int, int]]:
-    """All affine points, by scanning x against a table of squares."""
-    roots = {}
-    for y in range(p):
-        roots.setdefault(y * y % p, []).append(y)
-    for x in range(p):
-        rhs = (x * x * x + a * x + b) % p
-        for y in roots.get(rhs, ()):
-            yield (x, y)
 
 
 def is_prime(n: int) -> bool:

@@ -387,6 +387,11 @@ def ec_order_diff(m: EllipticModel) -> int:
     return point_order(m.p, m.a, diff)
 
 
+def is_general(m: EllipticModel, d: int) -> bool:
+    """The generality hypothesis at degree d: ord(P1 - P2) > d, so no two special bundles coincide."""
+    return m.order_diff > d
+
+
 def all_descriptors(d: int) -> list[LineBundleDescriptor]:
     """Every bundle class relevant at degree d: generic plus special(0..d)."""
     return [LineBundleDescriptor(d, a) for a in (None, *range(d + 1))]
@@ -421,28 +426,6 @@ def ec_descriptor_rows(m: EllipticModel, p: BNProblem) -> list[tuple]:
         counts, coeffs, nonempty = _series_counts(profile, k, a1, a2)
         rows.append((bundle, a, counts, dim_fit(coeffs), nonempty))
     return rows
-
-
-def ec_descriptor_scan(m: EllipticModel, p: BNProblem) -> dict:
-    """Per-descriptor counting report for a genus-1 problem on the model, from ec_descriptor_rows."""
-    rows = ec_descriptor_rows(m, p)
-    return {
-        "order_diff": m.order_diff,
-        "descriptors": [
-            {"bundle": bundle, "a": a, "counts": list(counts), "dim": dim, "nonempty": nonempty}
-            for bundle, a, counts, dim, nonempty in rows
-        ],
-        "nonempty": any(row[4] for row in rows),
-    }
-
-
-def ec_g1_nonempty(m: EllipticModel, p: BNProblem) -> bool:
-    """Brute-force nonemptiness for g = 1, requiring ord(P1 - P2) > d."""
-    if m.order_diff <= p.d:
-        raise ValueError(
-            "generality hypothesis violated: ord(P1 - P2) must exceed d"
-        )
-    return ec_descriptor_scan(m, p)["nonempty"]
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,9 @@ A pair of series on the components Y and Z, with ramification sequences
 and refined when equality holds for every j.  Refined node sequences come in
 complementary pairs ``alpha_z[j] = d - r - alpha_y[r - j]``, and nonemptiness
 of the whole limit-series space reduces to a scan over refined strata with a
-nonemptiness oracle applied to each component.
+nonemptiness oracle applied to each component.  That scan, with an injected
+component oracle, is acceptance criterion 9's test reference
+(``tests/reference.py``).
 
 A ``Stratum`` computes its node gaps once, when it is built: the
 compatibility check, ``refined`` and ``fiber_dim_bound`` all read that one
@@ -20,7 +22,7 @@ command emits those invariants without computing them and looks up each
 component's criterion in a ``core.criterion_table``.
 """
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -35,11 +37,6 @@ def _node_gaps(alpha_y: RamSeq, alpha_z: RamSeq) -> list[int]:
     if alpha_y.d != alpha_z.d or alpha_y.r != alpha_z.r:
         raise ValueError("node sequences must share the same (r, d) context")
     return gaps(alpha_y.entries, alpha_z.entries, alpha_y.d - alpha_y.r)
-
-
-def eh_compatible(alpha_y: RamSeq, alpha_z: RamSeq) -> bool:
-    """Node compatibility: alpha_y[j] + alpha_z[r-j] >= d - r for all j."""
-    return min(_node_gaps(alpha_y, alpha_z)) >= 0
 
 
 def complement_entries(entries: tuple[int, ...], bound: int) -> tuple[int, ...]:
@@ -130,16 +127,6 @@ def glued_problem(p: TwoComponentProblem) -> BNProblem:
     return BNProblem(p.g_y + p.g_z, p.r, p.d, p.alpha1, p.alpha2)
 
 
-def component_problems(p: TwoComponentProblem, s: Stratum) -> tuple[BNProblem, BNProblem]:
-    """The two-point problems induced on Y and Z by a stratum.
-
-    Y carries (alpha1, alpha_y), Z carries (alpha_z, alpha2).
-    """
-    p_y = BNProblem(p.g_y, p.r, p.d, p.alpha1, s.alpha_y)
-    p_z = BNProblem(p.g_z, p.r, p.d, s.alpha_z, p.alpha2)
-    return p_y, p_z
-
-
 def stratum_expected_dim(p: TwoComponentProblem, s: Stratum) -> int:
     """rho_Y + rho_Z for the stratum's component problems.
 
@@ -150,21 +137,3 @@ def stratum_expected_dim(p: TwoComponentProblem, s: Stratum) -> int:
     return rho_from_totals(p.g_y, r, d, p.alpha1.total(), s.alpha_y.total()) + rho_from_totals(
         p.g_z, r, d, s.alpha_z.total(), p.alpha2.total()
     )
-
-
-def eh_nonempty_two_component(
-    p: TwoComponentProblem,
-    base_oracle: Callable[[BNProblem], bool],
-) -> bool:
-    """Scan refined strata; true iff some stratum has both components nonempty.
-
-    ``base_oracle`` decides nonemptiness of a component problem.  Injecting it
-    lets callers mix the general criterion with exact genus-0/1 oracles.  A
-    scan over the enumeration budget is refused before the first stratum.
-    """
-    refuse_strata_over_budget(p.r, p.d)
-    for alpha_y, alpha_z in enumerate_refined_strata(p.r, p.d):
-        p_y, p_z = component_problems(p, Stratum(RamSeq(alpha_y, p.d), RamSeq(alpha_z, p.d)))
-        if base_oracle(p_y) and base_oracle(p_z):
-            return True
-    return False

@@ -11,7 +11,6 @@ from bnseries.core import (
     BNProblem,
     RamSeq,
     VanishingSeq,
-    all_problems,
     all_ram_seqs,
     nonempty_criterion,
     problem,
@@ -22,8 +21,6 @@ from bnseries.gf import gaussian_binomial
 from bnseries.oracle import (
     count_series,
     dim_fit,
-    ec_descriptor_scan,
-    ec_g1_nonempty,
     ec_order_diff,
     load_fixture,
     profile_complementary,
@@ -40,13 +37,12 @@ from bnseries.realize import (
 from bnseries.strata import (
     Stratum,
     TwoComponentProblem,
-    eh_compatible,
-    eh_nonempty_two_component,
     enumerate_refined_strata,
     fiber_dim_bound,
     glued_problem,
     stratum_expected_dim,
 )
+from reference import all_problems, ec_descriptor_scan, ec_g1_nonempty, eh_compatible, eh_nonempty_two_component
 
 
 @contextmanager

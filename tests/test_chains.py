@@ -15,7 +15,6 @@ from bnseries.chains import (
 from bnseries.core import (
     BNProblem,
     RamSeq,
-    all_problems,
     all_ram_seqs,
     criterion_sum,
     nonempty_criterion,
@@ -23,6 +22,7 @@ from bnseries.core import (
     rho,
 )
 from bnseries.strata import refined_complement
+from reference import all_problems
 
 
 def _entries(p):

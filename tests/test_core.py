@@ -8,18 +8,17 @@ from bnseries.core import (
     BNProblem,
     RamSeq,
     VanishingSeq,
-    all_problems,
     all_ram_seqs,
     criterion_excess,
     criterion_sum,
     criterion_table,
-    from_vanishing,
     nonempty_criterion,
     problem,
     rho,
     to_vanishing,
     zero_ram,
 )
+from reference import all_problems, from_vanishing
 
 
 def test_to_vanishing_adds_index():

@@ -11,7 +11,6 @@ from bnseries.cli import _dump, run
 from bnseries.core import (
     InfeasibleSize,
     VanishingSeq,
-    all_problems,
     nonempty_criterion,
     problem,
     to_vanishing,
@@ -23,8 +22,6 @@ from bnseries.oracle import (
     all_descriptors,
     count_series,
     dim_fit,
-    ec_descriptor_scan,
-    ec_g1_nonempty,
     ec_order_diff,
     g0_series_counts,
     load_fixture,
@@ -34,6 +31,7 @@ from bnseries.oracle import (
 )
 from bnseries.realize import LineBundleDescriptor, lead_positions
 from gf_reference import field_rows, rank, rref_matrices
+from reference import all_problems, ec_descriptor_scan, ec_g1_nonempty
 
 
 # The table path, kept as the reference for the closed-form profiles: a pair

@@ -5,8 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from bnseries.core import VanishingSeq, all_problems, nonempty_criterion, problem, rho, to_vanishing
-from bnseries.oracle import ec_descriptor_scan, load_fixture
+from bnseries.core import VanishingSeq, nonempty_criterion, problem, rho, to_vanishing
+from bnseries.oracle import load_fixture
 from bnseries.realize import (
     DegenerateBasis,
     G0Series,
@@ -17,6 +17,7 @@ from bnseries.realize import (
     realize_g1,
     richardson_dim,
 )
+from reference import all_problems, ec_descriptor_scan
 
 
 def v(entries, d):

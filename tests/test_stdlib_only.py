@@ -1,4 +1,9 @@
-"""The library is pure stdlib: every import in src/bnseries is a stdlib module or a sibling."""
+"""The library is pure stdlib: every import in src/bnseries is a stdlib module or a sibling.
+
+The test-side references (tests/*reference.py) are held to the same rule,
+with bnseries allowed, so they stay free of pytest and hypothesis and a
+script can import them.
+"""
 
 import ast
 import re
@@ -8,6 +13,8 @@ from pathlib import Path
 import pytest
 
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "bnseries").glob("*.py"))
+REFERENCES = sorted(Path(__file__).parent.glob("*reference.py"))
+ALLOWED = sys.stdlib_module_names | {"bnseries"}
 
 
 def _foreign_imports(path):
@@ -21,7 +28,7 @@ def _foreign_imports(path):
         else:
             continue
         for name in names:
-            if name.partition(".")[0] not in sys.stdlib_module_names:
+            if name.partition(".")[0] not in ALLOWED:
                 yield node.lineno, name
 
 
@@ -29,7 +36,7 @@ def test_sources_found():
     assert {path.name for path in SOURCES} >= {"__init__.py", "cli.py", "gf.py", "oracle.py"}
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES + REFERENCES, ids=lambda path: path.name)
 def test_imports_are_stdlib_or_siblings(path):
     assert list(_foreign_imports(path)) == []
 

@@ -12,15 +12,13 @@ from bnseries.core import BNProblem, RamSeq, all_ram_seqs, nonempty_criterion, r
 from bnseries.strata import (
     Stratum,
     TwoComponentProblem,
-    component_problems,
-    eh_compatible,
-    eh_nonempty_two_component,
     enumerate_refined_strata,
     fiber_dim_bound,
     glued_problem,
     refined_complement,
     stratum_expected_dim,
 )
+from reference import component_problems, eh_compatible, eh_nonempty_two_component
 
 
 def test_compatibility_examples():
@@ -45,6 +43,19 @@ def test_refined_complement_is_involution():
 def test_stratum_rejects_incompatible_pairs():
     with pytest.raises(ValueError):
         Stratum(RamSeq((0, 0), 3), RamSeq((0, 0), 3))
+
+
+def test_a_stratum_is_built_exactly_for_the_compatible_pairs():
+    # eh_compatible restates the node inequality without strata's own helpers
+    for d in range(6):
+        for r in range(d + 1):
+            seqs = list(all_ram_seqs(r, d))
+            for ay, az in product(seqs, repeat=2):
+                if eh_compatible(ay, az):
+                    Stratum(ay, az)
+                else:
+                    with pytest.raises(ValueError, match="incompatible node pair"):
+                        Stratum(ay, az)
 
 
 def test_refined_strata_counts():
