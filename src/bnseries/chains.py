@@ -14,75 +14,24 @@ lexicographic order.  It keeps the first valid on both sides in O(r), by
 updating the two sides' criterion sums per candidate.  One bounded memo
 (1024 entries, r < 64 only) holds the part that only alpha1 decides.
 
-``split_once`` and ``_chain_entries`` take and return entry tuples;
-``build_chain`` wraps the latter's chain in value objects.  A genus-g chain
-is one genus-1 component and then the chain of the residual genus-(g-1)
-problem, so the CLI's ``sweep``, which visits genus g - 1 first, builds only
-that component per chain and reads the rest from that layer.
+A chain has one form: a tuple of ``(genus, left, right, rho)`` components,
+their sequences as entry tuples.  A witness is ``(r, d, chain, total_rho)``:
+``build_chain`` and ``witness_from_dict`` return one, ``chain_violations``
+checks one, and ``witness_to_dict`` serializes one.  A genus-g chain is one
+genus-1 component and then the chain of the residual genus-(g-1) problem, so
+the CLI's ``sweep``, which visits genus g - 1 first, builds only that
+component per chain and reads the rest from that layer.
 """
 
 import json
 from functools import lru_cache
 
-from .core import (
-    BNProblem, RamSeq, _refuse_non_ints, _refuse_wrong_kind, _set, _Value, gaps, nonempty_criterion, rho,
-    rho_from_totals,
-)
+from .core import BNProblem, RamSeq, criterion_excess, gaps, nonempty_criterion, rho, rho_from_totals
 from .strata import complement_entries
 
 
 class ConstructionFailed(RuntimeError):
     """No candidate split validates; must not happen when the criterion holds."""
-
-
-class ChainComponent(_Value):
-    """One component of a chain, marked on the left and right.
-
-    Only structural validity is enforced here; the base-case criterion, the
-    stored rho value and the node complements are re-checked independently by
-    ``chain_violations`` so that tampered witnesses are representable and
-    rejected.
-    """
-
-    __slots__ = _fields = ("genus", "left_ram", "right_ram", "component_rho")
-
-    def __init__(self, genus, left_ram, right_ram, component_rho):
-        _set(self, "genus", genus)
-        _set(self, "left_ram", left_ram)
-        _set(self, "right_ram", right_ram)
-        _set(self, "component_rho", component_rho)
-        _set(self, "_key", (genus, left_ram, right_ram, component_rho))
-        if type(genus) is not int or type(component_rho) is not int:
-            _refuse_non_ints({"genus": genus, "component_rho": component_rho})
-        if genus not in (0, 1):
-            raise ValueError("chain components have genus 0 or 1")
-        if not (isinstance(left_ram, RamSeq) and isinstance(right_ram, RamSeq)):
-            _refuse_wrong_kind({"left_ram": left_ram, "right_ram": right_ram}, RamSeq)
-        if left_ram.d != right_ram.d or len(left_ram.entries) != len(right_ram.entries):
-            raise ValueError("left/right sequences must share the (r, d) context")
-
-
-class ChainWitness(_Value):
-    __slots__ = _fields = ("r", "d", "components", "total_rho")
-
-    def __init__(self, r, d, components, total_rho):
-        _set(self, "r", r)
-        _set(self, "d", d)
-        _set(self, "components", components)
-        _set(self, "total_rho", total_rho)
-        _set(self, "_key", (r, d, components, total_rho))
-        if type(r) is not int or type(d) is not int or type(total_rho) is not int:
-            _refuse_non_ints({"r": r, "d": d, "total_rho": total_rho})
-        if type(components) is not tuple:
-            raise ValueError("components must be a tuple of ChainComponents")
-        if not components:
-            raise ValueError("a chain needs at least one component")
-        for i, c in enumerate(components):  # kept cheap: it runs for every component of every chain built
-            if type(c) is not ChainComponent:
-                _refuse_wrong_kind({f"components[{i}]": c}, ChainComponent)
-            if c.left_ram.d != d or len(c.left_ram.entries) != r + 1:
-                raise ValueError("component context does not match the chain")
-
 
 # split_once's memo: _MEMO_SIZE entries, for r < _MEMO_R only; about 6 MB at worst
 _MEMO_SIZE, _MEMO_R = 1024, 64
@@ -158,72 +107,65 @@ def _chain_entries(g: int, r: int, d: int, alpha1: tuple, alpha2: tuple) -> tupl
     return tuple(chain)
 
 
-def build_chain(p: BNProblem) -> ChainWitness | None:
-    """Construct a verified witness chain, or None when the criterion fails.
+def build_chain(p: BNProblem) -> tuple | None:
+    """The witness (r, d, chain, total_rho) of p, or None when the criterion fails.
 
     Genus 0 and 1 problems become a single component; larger genus peels off
     genus-1 components by induction via split_once.
     """
     if not nonempty_criterion(p):
         return None
-    chain = _chain_entries(p.g, p.r, p.d, p.alpha1.entries, p.alpha2.entries)
-    components = tuple(ChainComponent(k, RamSeq(x, p.d), RamSeq(y, p.d), h) for k, x, y, h in chain)
-    return ChainWitness(p.r, p.d, components, rho(p))
+    return p.r, p.d, _chain_entries(p.g, p.r, p.d, p.alpha1.entries, p.alpha2.entries), rho(p)
 
 
-def chain_violations(w: ChainWitness, p: BNProblem) -> list[str]:
-    """All invariant violations of a witness against a problem; empty means valid.
+def chain_violations(w: tuple, p: BNProblem) -> list[str]:
+    """All invariant violations of a witness (r, d, chain, total_rho) against a problem; empty means valid.
 
     Checks are independent of how the witness was built: stored rho values,
     base-case criteria, node complements, endpoints, genus bookkeeping, and
-    total rho.
+    total rho.  The components' sequences must be entry tuples of the
+    witness's (r, d) context, as ``witness_from_dict`` guarantees.
     """
+    r, d, chain, total_rho = w
     out = []
-    if (w.r, w.d) != (p.r, p.d):
-        out.append(f"chain context (r={w.r}, d={w.d}) != problem (r={p.r}, d={p.d})")
+    if (r, d) != (p.r, p.d):
+        out.append(f"chain context (r={r}, d={d}) != problem (r={p.r}, d={p.d})")
         return out
-    n = len(w.components)
-    for i, c in enumerate(w.components):
-        cp = BNProblem(c.genus, w.r, w.d, c.left_ram, c.right_ram)
-        expected = rho(cp)
-        if c.component_rho != expected:
-            out.append(f"component {i}: stored rho {c.component_rho} != {expected}")
-        if not nonempty_criterion(cp):
-            out.append(f"component {i}: genus-{c.genus} base-case criterion fails")
-    for i in range(n - 1):  # the witness's components all have the context (w.r, w.d)
-        right = w.components[i].right_ram.entries
-        if w.components[i + 1].left_ram.entries != complement_entries(right, w.d - w.r):
+    for i, (genus, left, right, h) in enumerate(chain):
+        expected = rho_from_totals(genus, r, d, sum(left), sum(right))
+        if h != expected:
+            out.append(f"component {i}: stored rho {h} != {expected}")
+        if criterion_excess(genus, r, d, left, right) > genus:
+            out.append(f"component {i}: genus-{genus} base-case criterion fails")
+    for i in range(len(chain) - 1):
+        if chain[i + 1][1] != complement_entries(chain[i][2], d - r):
             out.append(f"node {i}: sequences are not exact complements")
-    if w.components[0].left_ram != p.alpha1:
+    if chain[0][1] != p.alpha1.entries:
         out.append("left endpoint does not carry alpha1")
-    if w.components[-1].right_ram != p.alpha2:
+    if chain[-1][2] != p.alpha2.entries:
         out.append("right endpoint does not carry alpha2")
-    genera = [c.genus for c in w.components]
+    genera = [c[0] for c in chain]
     if p.g == 0:
         if genera != [0]:
             out.append(f"genus-0 problem needs a single genus-0 component, got {genera}")
     else:
         if genera != [1] * p.g:
             out.append(f"expected {p.g} genus-1 components, got {genera}")
-    total = sum(c.component_rho for c in w.components)
-    if w.total_rho != total:
-        out.append(f"stored total rho {w.total_rho} != component sum {total}")
+    total = sum(c[3] for c in chain)
+    if total_rho != total:
+        out.append(f"stored total rho {total_rho} != component sum {total}")
     if total != rho(p):
         out.append(f"component rho sum {total} != problem rho {rho(p)}")
     return out
 
 
-def _chain_dict(r: int, d: int, chain, total_rho: int) -> dict:
-    """The serialized witness of a chain of (genus, left, right, rho) tuples, in lists and dicts of its own."""
+def witness_to_dict(w: tuple) -> dict:
+    """The serialized witness (r, d, chain, total_rho), in lists and dicts of its own."""
+    r, d, chain, total_rho = w
     components = []  # a loop: a comprehension costs about a fifth more on chains this short
     for k, x, y, h in chain:
         components.append({"genus": k, "left": [*x], "rho": h, "right": [*y]})
     return {"components": components, "d": d, "r": r, "total_rho": total_rho}
-
-
-def witness_to_dict(w: ChainWitness) -> dict:
-    chain = [(c.genus, c.left_ram.entries, c.right_ram.entries, c.component_rho) for c in w.components]
-    return _chain_dict(w.r, w.d, chain, w.total_rho)
 
 
 def _witness_int(value, what: str) -> int:
@@ -236,19 +178,30 @@ def _witness_int(value, what: str) -> int:
     return number
 
 
-def witness_from_dict(data: dict) -> ChainWitness:
-    """Parse a serialized witness; raises ValueError on malformed input."""
+def witness_from_dict(data: dict) -> tuple:
+    """Parse a serialized witness into (r, d, chain, total_rho); raises ValueError on malformed input.
+
+    Each sequence must be a valid RamSeq of the witness's d, each component
+    of genus 0 or 1 with sides of one length, and every component's length
+    r + 1.
+    """
     try:
         r, d = _witness_int(data["r"], "r"), _witness_int(data["d"], "d")
-        components = tuple(
-            ChainComponent(
-                _witness_int(c["genus"], "genus"),
-                RamSeq(tuple(_witness_int(a, "left") for a in c["left"]), d),
-                RamSeq(tuple(_witness_int(a, "right") for a in c["right"]), d),
-                _witness_int(c["rho"], "rho"),
-            )
-            for c in data["components"]
-        )
-        return ChainWitness(r, d, components, _witness_int(data["total_rho"], "total_rho"))
+        chain = []
+        for c in data["components"]:
+            genus = _witness_int(c["genus"], "genus")
+            left = RamSeq(tuple(_witness_int(a, "left") for a in c["left"]), d).entries
+            right = RamSeq(tuple(_witness_int(a, "right") for a in c["right"]), d).entries
+            chain.append((genus, left, right, _witness_int(c["rho"], "rho")))
+            if genus not in (0, 1):
+                raise ValueError("chain components have genus 0 or 1")
+            if len(left) != len(right):
+                raise ValueError("left/right sequences must share the (r, d) context")
+        total_rho = _witness_int(data["total_rho"], "total_rho")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed chain witness: {exc}") from exc
+    if not chain:
+        raise ValueError("a chain needs at least one component")
+    if any(len(left) != r + 1 for _, left, _, _ in chain):
+        raise ValueError("component context does not match the chain")
+    return r, d, tuple(chain), total_rho

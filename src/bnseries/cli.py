@@ -19,9 +19,7 @@ from math import comb
 from operator import getitem
 
 from . import chains  # the sweep calls chains.split_once, so a wrapper installed there counts its splits
-from .chains import (
-    _chain_dict, _chain_entries, _component, build_chain, chain_violations, witness_from_dict, witness_to_dict,
-)
+from .chains import _chain_entries, _component, build_chain, chain_violations, witness_from_dict, witness_to_dict
 from .core import (
     BNProblem,
     VanishingSeq,
@@ -287,8 +285,10 @@ def iter_sweep(params: dict) -> Iterator[dict]:
     criterion is a lookup in its alpha1's ``criterion_table``
     (``criterion_excess`` on 'zero' grids, one point per alpha1).  A nonempty
     ``chain`` point of genus >= 2 is one ``chains.split_once``, one new genus-1
-    component and its residual's chain from the previous genus layer, kept as
-    tuples (off the grid: ``chains._chain_entries``).  Lines share no mutable object.
+    component and its residual's chain from the previous genus layer (off the
+    grid: ``chains._chain_entries``), in the one chain form of ``chains``; its
+    line is ``witness_to_dict``, as for the ``chain`` command.  Lines share no
+    mutable object.
     """
     g_max = _get_int(params, "g_max")
     r_max = _get_int(params, "r_max")
@@ -326,12 +326,12 @@ def iter_sweep(params: dict) -> Iterator[dict]:
                             status, payload = _empty(rho_value)
                         elif g < 2:
                             chain = layer[d, e1, e2] = ((g, e1, e2, rho_value),)
-                            status, payload = "ok", _chain_dict(r, d, chain, rho_value)
+                            status, payload = "ok", witness_to_dict((r, d, chain, rho_value))
                         else:
                             alpha_y, ez = chains.split_once(g, r, d, e1, e2)
                             tail = tails.get((d, ez, e2)) or _chain_entries(g - 1, r, d, ez, e2)
                             chain = layer[d, e1, e2] = (_component(1, r, d, e1, alpha_y), *tail)
-                            status, payload = "ok", _chain_dict(r, d, chain, rho_value)
+                            status, payload = "ok", witness_to_dict((r, d, chain, rho_value))
                         yield {"params": point, "payload": payload, "status": status}
         tails = layer
 

@@ -80,6 +80,16 @@ def refuse_over_budget(size, unit: str, at_least: bool = False, floor_log2: int 
         raise InfeasibleSize(f"enumeration of {bound}{text} {unit} exceeds the budget of {limit}")
 
 
+def _too_long_to_print(bits: int) -> bool:
+    """Whether 2^bits has more decimal digits than int-to-str conversion allows (never when that is off).
+
+    For a limit of n digits that is 2^bits >= 10^n: never for bits <= 3n,
+    as 8^n < 10^n, and otherwise exactly for bits >= (10^n).bit_length().
+    """
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return 0 < 3 * digits < bits and (10**digits).bit_length() <= bits
+
+
 def _comb_floor_log2(n: int, k: int) -> int:
     """An N with 2^N <= C(n, k) for 0 <= k <= n, in O(1): C(n, m) >= (n / m)^m for m = min(k, n - k)."""
     m = min(k, n - k)

@@ -47,7 +47,9 @@ import os
 from functools import lru_cache
 from operator import add, ge
 
-from .core import BNProblem, VanishingSeq, _enum_budget, _refuse_non_ints, _set, _Value, refuse_over_budget
+from .core import (
+    BNProblem, VanishingSeq, _enum_budget, _refuse_non_ints, _set, _too_long_to_print, _Value, refuse_over_budget,
+)
 from .elliptic import discriminant, ec_add, ec_neg, is_on_curve, is_prime, point_order
 from .gf import FIELDS, gaussian_binomial
 from .realize import LineBundleDescriptor
@@ -143,8 +145,10 @@ def refuse_subspaces_over_budget(n: int, k: int, profiles: int = 0) -> None:
     The check needs only (n, k), so a request is refused before any profile
     is built.  With k > n there is nothing to count and nothing is checked.
     The top Schubert cell has q^(k(n - k)) points, a lower bound on the
-    count; when that bound is already too large to print at the smallest q,
-    the refusal names it instead of computing the exact count.  After it,
+    count.  When that bound is already too large to print at the smallest
+    q, which k(n - k) and the digit limit decide, the refusal names it
+    (core's floor_log2 path, which computes the bound only when it has fewer
+    than 4 bits a digit) and the exact count is never computed.  After it,
     (n + 1)^2 table entries for each of the ``profiles`` are held against
     the budget, k > n or not: no table is built any more, but the charge
     stays as policy, since its refusals are part of the interface.  The
@@ -152,11 +156,9 @@ def refuse_subspaces_over_budget(n: int, k: int, profiles: int = 0) -> None:
     """
     limit = _enum_budget() if k <= n or profiles else None  # read only when something is checked
     if k <= n:
-        floor = FIELDS[0] ** (k * (n - k))
-        try:
-            str(floor)
-        except ValueError:  # the count is unprintable too: core names it "at least 2^..."
-            refuse_over_budget(floor, "subspaces")
+        bits = k * (n - k)  # the top cell has 2^bits points at q = FIELDS[0] = 2
+        if _too_long_to_print(bits):
+            refuse_over_budget(lambda: FIELDS[0] ** bits, "subspaces", floor_log2=bits)
         for q in FIELDS:
             if (count := gaussian_binomial(n, k, q)) > limit:
                 refuse_over_budget(count, "subspaces")

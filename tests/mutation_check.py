@@ -46,9 +46,16 @@ MUTANTS = (
     Mutant(
         "chain_violations checks only the left endpoint's context",
         "src/bnseries/chains.py",
-        "if w.components[0].left_ram != p.alpha1:",
-        "if w.components[0].left_ram.d != p.alpha1.d:",
+        "if chain[0][1] != p.alpha1.entries:",
+        "if len(chain[0][1]) != len(p.alpha1.entries):",
         ("tests/test_chains.py::test_verify_rejects_wrong_rho_and_endpoints",),
+    ),
+    Mutant(
+        "witness_from_dict admits a genus-2 component",
+        "src/bnseries/chains.py",
+        "if genus not in (0, 1):",
+        "if genus not in (0, 1, 2):",
+        ("tests/test_chains.py::test_witness_from_dict_messages", "tests/test_golden.py"),
     ),
     Mutant(
         "lead_positions eliminates with the sign flipped",
@@ -84,6 +91,13 @@ MUTANTS = (
         "if size > limit:",
         "if size >= limit:",
         ("tests/test_strata.py::test_eh_nonempty_refuses_over_budget_before_the_first_stratum",),
+    ),
+    Mutant(
+        "2^bits counts as printable one bit past the digit limit",
+        "src/bnseries/core.py",
+        "(10**digits).bit_length() <= bits",
+        "(10**digits).bit_length() < bits",
+        ("tests/test_cli.py::test_oracle_verify_names_an_unprintable_top_cell_from_the_request_alone",),
     ),
     Mutant(
         "a sweep builds every criterion table on the zero row",

@@ -1,10 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from bnseries import core
 from bnseries.chains import (
-    ChainComponent,
-    ChainWitness,
     _component,
     build_chain,
     chain_violations,
@@ -12,6 +12,7 @@ from bnseries.chains import (
     witness_from_dict,
     witness_to_dict,
 )
+from bnseries.cli import run
 from bnseries.core import (
     BNProblem,
     RamSeq,
@@ -75,14 +76,8 @@ def test_split_once_postconditions_on_grid():
 def test_build_chain_known_witness():
     p = problem(3, 1, 3)
     w = build_chain(p)
-    assert [c.genus for c in w.components] == [1, 1, 1]
-    assert [(c.left_ram.entries, c.right_ram.entries) for c in w.components] == [
-        ((0, 0), (1, 1)),
-        ((1, 1), (0, 1)),
-        ((1, 2), (0, 0)),
-    ]
-    assert [c.component_rho for c in w.components] == [1, 0, 0]
-    assert w.total_rho == 1 == rho(p)
+    assert w == (1, 3, ((1, (0, 0), (1, 1), 1), (1, (1, 1), (0, 1), 0), (1, (1, 2), (0, 0), 0)), 1)
+    assert w[3] == rho(p)
     assert not chain_violations(w, p)
 
 
@@ -92,19 +87,18 @@ def test_build_chain_empty():
 
 def test_build_chain_base_cases():
     w0 = build_chain(problem(0, 1, 3, (0, 1), (0, 0)))
-    assert [c.genus for c in w0.components] == [0]
+    assert [c[0] for c in w0[2]] == [0]
     assert not chain_violations(w0, problem(0, 1, 3, (0, 1), (0, 0)))
     w1 = build_chain(problem(1, 1, 3, (1, 2), (0, 0)))
-    assert [c.genus for c in w1.components] == [1]
+    assert [c[0] for c in w1[2]] == [1]
     assert not chain_violations(w1, problem(1, 1, 3, (1, 2), (0, 0)))
 
 
 def test_verify_rejects_perturbed_node():
     p = problem(3, 1, 3)
-    w = build_chain(p)
-    c0 = w.components[0]
-    bumped = ChainComponent(c0.genus, c0.left_ram, RamSeq((1, 2), 3), c0.component_rho)
-    tampered = ChainWitness(w.r, w.d, (bumped,) + w.components[1:], w.total_rho)
+    r, d, chain, total_rho = build_chain(p)
+    genus, left, _, h = chain[0]
+    tampered = (r, d, ((genus, left, (1, 2), h), *chain[1:]), total_rho)
     violations = chain_violations(tampered, p)
     assert violations
     assert any("complement" in v for v in violations)
@@ -113,8 +107,8 @@ def test_verify_rejects_perturbed_node():
 
 def test_verify_rejects_wrong_rho_and_endpoints():
     p = problem(3, 1, 3)
-    w = build_chain(p)
-    bad_rho = ChainWitness(w.r, w.d, w.components, w.total_rho + 1)
+    w = r, d, chain, total_rho = build_chain(p)
+    bad_rho = (r, d, chain, total_rho + 1)
     assert any("total rho" in v for v in chain_violations(bad_rho, p))
     other = problem(3, 1, 3, (0, 1), (0, 0))
     assert any("alpha1" in v for v in chain_violations(w, other))
@@ -122,8 +116,8 @@ def test_verify_rejects_wrong_rho_and_endpoints():
 
 def test_verify_rejects_wrong_genus_layout():
     p = problem(2, 1, 3)
-    w = build_chain(p)
-    squashed = ChainWitness(w.r, w.d, w.components[:1], w.components[0].component_rho)
+    r, d, chain, _ = build_chain(p)
+    squashed = (r, d, chain[:1], chain[0][3])
     assert any("genus-1 components" in v for v in chain_violations(squashed, p))
 
 
@@ -131,8 +125,7 @@ def test_verify_rejects_a_component_that_fails_its_base_case():
     # rho and the endpoints are consistent, but (1, 1) against (1, 1) at d = 2
     # asks a1_1 + a2_0 = 2 + 1 > d: no genus-1 series exists
     p = problem(1, 1, 2, (1, 1), (1, 1))
-    seq = RamSeq((1, 1), 2)
-    tampered = ChainWitness(1, 2, (ChainComponent(1, seq, seq, -3),), -3)
+    tampered = (1, 2, ((1, (1, 1), (1, 1), -3),), -3)
     assert rho(p) == -3
     assert chain_violations(tampered, p) == ["component 0: genus-1 base-case criterion fails"]
     assert chain_violations(tampered, p)
@@ -153,7 +146,7 @@ def test_rho_additivity():
                 for p in all_problems(g, r, d):
                     w = build_chain(p)
                     if w is not None:
-                        assert sum(c.component_rho for c in w.components) == rho(p)
+                        assert sum(c[3] for c in w[2]) == rho(p)
 
 
 def test_soundness_and_completeness_small_grid():
@@ -239,3 +232,65 @@ def test_witness_from_dict_names_a_non_json_entry():
 
 def test_component_computes_rho():
     assert _component(1, 1, 3, (0, 0), (1, 1)) == (1, (0, 0), (1, 1), 1)
+
+
+def _witness(*components, **fields):
+    """A serialized (r, d) = (1, 3) witness with the given components (by default one valid one)."""
+    component = {"genus": 1, "left": [0, 1], "right": [1, 2], "rho": 0}
+    chain = [{**component, **c} for c in components] if components else [component]
+    return {"r": 1, "d": 3, "components": chain, "total_rho": 0, **fields}
+
+
+# every refusal of a parsed witness, in the order of its checks: the fields of
+# each component in turn, then total_rho, then the chain as a whole
+WITNESS_ERRORS = [
+    (_witness({"genus": 2}), "chain components have genus 0 or 1"),
+    (_witness({"right": [0, 0, 0]}), "left/right sequences must share the (r, d) context"),
+    (_witness(components=[]), "a chain needs at least one component"),
+    (_witness(r=2), "component context does not match the chain"),
+    pytest.param(_witness({"genus": 2, "left": [1, 0]}), "entries not nondecreasing at index 1", id="sides-first"),
+    pytest.param(_witness({"genus": 2, "right": [0, 0, 0]}), "chain components have genus 0 or 1", id="genus-first"),
+    pytest.param(_witness({}, {"genus": 2}, r=2), "chain components have genus 0 or 1", id="components-first"),
+    pytest.param(
+        _witness(components=[], total_rho=1.5),
+        "malformed chain witness: total_rho must be an integer, got 1.5",
+        id="total_rho-first",
+    ),
+    (_witness({"genus": 1.0}), "malformed chain witness: genus must be an integer, got 1.0"),
+    (_witness({"genus": True}), "malformed chain witness: genus must be an integer, got true"),
+    (_witness({"rho": 0.5}), "malformed chain witness: rho must be an integer, got 0.5"),
+    (_witness(r=1.0), "malformed chain witness: r must be an integer, got 1.0"),
+    (_witness(d=True), "malformed chain witness: d must be an integer, got true"),
+]
+
+
+@pytest.mark.parametrize("data, message", WITNESS_ERRORS, ids=lambda value: value if isinstance(value, str) else None)
+def test_witness_from_dict_messages(data, message):
+    assert witness_from_dict(_witness()) == (1, 3, ((1, (0, 1), (1, 2), 0),), 0)
+    with pytest.raises(ValueError) as exc:
+        witness_from_dict(data)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("g", [0, 1, 2, 6])
+def test_chain_request_work_counts(g, monkeypatch):
+    # A chain request builds its problem, one BNProblem and two RamSeqs, and
+    # no object per component at any genus; --verify adds one RamSeq per
+    # witness sequence and no BNProblem per component.
+    params = {"g": g, "r": 1, "d": 4}
+    witness = run({"command": "chain", "params": params})[0]["payload"]
+    sides = 2 * len(witness["components"])
+    assert sides == 2 * max(g, 1)
+    counts = Counter()
+    for cls in (core.BNProblem, core.RamSeq):
+        def counted_init(self, *args, _init=cls.__init__, _name=cls.__name__):
+            counts[_name] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted_init)
+    assert run({"command": "chain", "params": params}) == ({"diagnostics": [], "payload": witness, "status": "ok"}, 0)
+    assert counts == Counter(BNProblem=1, RamSeq=2)
+    counts.clear()
+    response, code = run({"command": "chain", "params": {**params, "verify": True, "witness": witness}})
+    assert (response["payload"], code) == ({"valid": True, "violations": []}, 0)
+    assert counts == Counter(BNProblem=1, RamSeq=2 + sides)

@@ -722,6 +722,35 @@ def test_oracle_verify_refuses_an_unprintable_count_without_computing_it(r, d, m
     assert elapsed < 0.2
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="needs an int-to-str digit limit"
+)
+@pytest.mark.parametrize("genus", [0, 1])
+def test_oracle_verify_names_an_unprintable_top_cell_from_the_request_alone(genus, monkeypatch):
+    # At r = 0 the top Schubert cell has 2^bits points, bits = d at genus 0
+    # (n = d + 1) and d - 1 at genus 1 (n = d).  Just below the print limit
+    # the exact count 2^(bits + 1) - 1 is what cannot be printed; from the
+    # limit on, 2^bits cannot, and no count is computed.  Both read the same.
+    from bnseries import oracle
+
+    monkeypatch.delenv("BN_ENUM_BUDGET", raising=False)
+    digits = sys.get_int_max_str_digits()
+    limit = (10**digits).bit_length()  # the least bits with 2^bits >= 10^digits
+    for bits in (limit - 1, limit, 4 * digits - 1, 4 * digits, 10**9):
+        if bits >= limit:
+            monkeypatch.setattr(oracle, "gaussian_binomial", _never)
+        d = bits + genus
+        sides = {"a1": [0], "a2": [0]} if genus == 0 else {"alpha1": [0], "alpha2": [0]}
+        start = time.perf_counter()
+        response, code = run({"command": "oracle-verify", "params": {"genus": genus, "r": 0, "d": d, **sides}})
+        elapsed = time.perf_counter() - start
+        assert (response["diagnostics"], code) == (
+            [f"InfeasibleSize: enumeration of at least 2^{bits} subspaces exceeds the budget of 10000000"],
+            2,
+        ), d
+    assert elapsed < 0.05  # at d = 10^9 nothing of 2^bits's size is built
+
+
 def test_closed_stdout_ends_quietly_with_exit_2():
     argv = ["sweep", "--g-max", "6", "--r-max", "2", "--d-max", "5", "--alphas", "all", "--command", "chain"]
     with subprocess.Popen(

@@ -101,7 +101,7 @@ def test_lines_share_no_mutable_object(alphas):
 def test_sweep_work_counts(monkeypatch):
     # Counts, not timings, line by line: a nonempty point of genus g >= 2 is
     # one split, on the previous genus's chains, and no point builds a
-    # problem, a component, a witness or a sequence.
+    # problem or a sequence.
     counts = Counter()
     split_once = chains.split_once
 
@@ -110,7 +110,7 @@ def test_sweep_work_counts(monkeypatch):
         return split_once(*args)
 
     monkeypatch.setattr(chains, "split_once", counted_split)
-    for cls in (core.BNProblem, core.RamSeq, chains.ChainComponent, chains.ChainWitness):
+    for cls in (core.BNProblem, core.RamSeq):
         def counted_init(self, *args, _init=cls.__init__, _name=cls.__name__):
             counts[_name] += 1
             _init(self, *args)

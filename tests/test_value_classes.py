@@ -6,14 +6,12 @@ import pickle
 
 import pytest
 
-from bnseries.chains import ChainComponent, ChainWitness
-from bnseries.core import BNProblem, RamSeq, VanishingSeq, zero_ram
+from bnseries.core import BNProblem, RamSeq, VanishingSeq
 from bnseries.oracle import EllipticModel, FlagProfile, load_fixture
 from bnseries.realize import G0Series, LineBundleDescriptor
 from bnseries.strata import Stratum, TwoComponentProblem
 
 A, B = RamSeq((0, 1), 3), RamSeq((1, 2), 3)
-COMPONENT = ChainComponent(1, A, B, 0)
 
 # (object, its field tuple, its exact repr)
 CASES = [
@@ -35,19 +33,6 @@ CASES = [
         (1, 0, 1, 3, A, B),
         "TwoComponentProblem(g_y=1, g_z=0, r=1, d=3, alpha1=RamSeq(entries=(0, 1), d=3), "
         "alpha2=RamSeq(entries=(1, 2), d=3))",
-    ),
-    (
-        COMPONENT,
-        (1, A, B, 0),
-        "ChainComponent(genus=1, left_ram=RamSeq(entries=(0, 1), d=3), "
-        "right_ram=RamSeq(entries=(1, 2), d=3), component_rho=0)",
-    ),
-    (
-        ChainWitness(1, 3, (COMPONENT,), 0),
-        (1, 3, (COMPONENT,), 0),
-        "ChainWitness(r=1, d=3, components=(ChainComponent(genus=1, "
-        "left_ram=RamSeq(entries=(0, 1), d=3), right_ram=RamSeq(entries=(1, 2), d=3), "
-        "component_rho=0),), total_rho=0)",
     ),
     (
         G0Series(2, [[1, 0, 0], [0, 1, 1]]),
@@ -156,20 +141,6 @@ PROBLEM_ERRORS = [
     (lambda: Stratum((0, 1), (1, 1)), "alpha_y must be a RamSeq"),
     (lambda: Stratum(A, [1, 2]), "alpha_z must be a RamSeq"),
 ]
-CHAIN_ERRORS = [
-    (lambda: ChainComponent(2, A, B, 0), "chain components have genus 0 or 1"),
-    (
-        lambda: ChainComponent(1, A, zero_ram(1, 4), 0),
-        "left/right sequences must share the (r, d) context",
-    ),
-    (lambda: ChainWitness(1, 3, (), 0), "a chain needs at least one component"),
-    (lambda: ChainWitness(1, 4, (COMPONENT,), 0), "component context does not match the chain"),
-    (lambda: ChainComponent(1, (0, 1), B, 0), "left_ram must be a RamSeq"),
-    (lambda: ChainComponent(1, A, VanishingSeq((1, 2), 3), 0), "right_ram must be a RamSeq"),
-    (lambda: ChainWitness(1, 3, (1, 2), 0), "components[0] must be a ChainComponent"),
-    (lambda: ChainWitness(1, 3, (COMPONENT, A), 0), "components[1] must be a ChainComponent"),
-    (lambda: ChainWitness(1, 3, [COMPONENT], 0), "components must be a tuple of ChainComponents"),
-]
 REALIZE_ERRORS = [
     (lambda: G0Series(2, ((1, 0),)), "coefficient vectors must have length d+1=3"),
     (lambda: LineBundleDescriptor(-1, None), "degree must be nonnegative"),
@@ -199,7 +170,7 @@ ORACLE_ERRORS = [
 
 @pytest.mark.parametrize(
     "build,message",
-    SEQ_ERRORS + PROBLEM_ERRORS + CHAIN_ERRORS + REALIZE_ERRORS + ORACLE_ERRORS,
+    SEQ_ERRORS + PROBLEM_ERRORS + REALIZE_ERRORS + ORACLE_ERRORS,
     ids=lambda value: value if isinstance(value, str) else None,
 )
 def test_constructor_messages(build, message):
@@ -208,9 +179,6 @@ def test_constructor_messages(build, message):
 
 # integer fields take exactly int: no bool, float or integer string, each named in the text
 NON_INT_ERRORS = [
-    (lambda: ChainComponent(1.0, A, B, 0), "genus must be an int, got 1.0"),
-    (lambda: ChainComponent(True, A, B, 0), "genus must be an int, got True"),
-    (lambda: ChainComponent(1, A, B, 0.5), "component_rho must be an int, got 0.5"),
     (lambda: LineBundleDescriptor(3.5, 1.5), "d must be an int, got 3.5"),
     (lambda: LineBundleDescriptor(True, None), "d must be an int, got True"),
     (lambda: LineBundleDescriptor(3, 1.5), "a must be an int, got 1.5"),
@@ -226,9 +194,6 @@ NON_INT_ERRORS = [
     (lambda: EllipticModel(53, 0, True, (52, 0), (0, 1), 6), "b must be an int, got True"),
     (lambda: EllipticModel(53, 0, 1, (52.0, 0), (0, 1), 6), "p1[0] must be an int, got 52.0"),
     (lambda: EllipticModel(53, 0, 1, (52, 0), (0, 1), 6.0), "order_diff must be an int, got 6.0"),
-    (lambda: ChainWitness(1.0, 3, (COMPONENT,), 1), "r must be an int, got 1.0"),
-    (lambda: ChainWitness(1, True, (COMPONENT,), 1), "d must be an int, got True"),
-    (lambda: ChainWitness(1, 3, (COMPONENT,), 1.5), "total_rho must be an int, got 1.5"),
     (lambda: G0Series(2.0, ((1, 0, 0),)), "d must be an int, got 2.0"),
     (lambda: G0Series("2", ((1, 0, 0),)), "d must be an int, got '2'"),
 ]
