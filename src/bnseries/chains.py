@@ -18,9 +18,10 @@ A chain has one form: a tuple of ``(genus, left, right, rho)`` components,
 their sequences as entry tuples.  A witness is ``(r, d, chain, total_rho)``:
 ``build_chain`` and ``witness_from_dict`` return one, ``chain_violations``
 checks one, and ``witness_to_dict`` serializes one.  A genus-g chain is one
-genus-1 component and then the chain of the residual genus-(g-1) problem, so
-the CLI's ``sweep``, which visits genus g - 1 first, builds only that
-component per chain and reads the rest from that layer.
+genus-1 component and then the chain of the residual genus-(g-1) problem.
+``_chain_entries`` builds every chain that way.  Given chains of genus
+g - 1 (the CLI's ``sweep`` passes its previous genus layer), it takes the
+first residual's chain from them when it is there, instead of splitting on.
 """
 
 import json
@@ -96,12 +97,20 @@ def _component(genus: int, r: int, d: int, left: tuple, right: tuple) -> tuple:
     return genus, left, right, rho_from_totals(genus, r, d, sum(left), sum(right))
 
 
-def _chain_entries(g: int, r: int, d: int, alpha1: tuple, alpha2: tuple) -> tuple:
-    """The chain of a problem of entry tuples satisfying the criterion, as ``_component`` tuples."""
+def _chain_entries(g: int, r: int, d: int, alpha1: tuple, alpha2: tuple, tails=None) -> tuple:
+    """The chain of a problem of entry tuples satisfying the criterion, as ``_component`` tuples.
+
+    ``tails`` may map (d, alpha1, alpha2) entry tuples to chains of genus
+    g - 1: the first residual's chain is read there when it is present, and
+    split further like any other residual when it is not.
+    """
     chain, left = [], alpha1
     for k in range(g, 1, -1):
         alpha_y, alpha_z = split_once(k, r, d, left, alpha2)
         chain.append(_component(1, r, d, left, alpha_y))
+        tail = tails.get((d, alpha_z, alpha2)) if tails and k == g else None
+        if tail:
+            return (*chain, *tail)
         left = alpha_z
     chain.append(_component(min(g, 1), r, d, left, alpha2))
     return tuple(chain)

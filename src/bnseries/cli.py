@@ -18,8 +18,7 @@ from collections.abc import Iterator
 from math import comb
 from operator import getitem
 
-from . import chains  # the sweep calls chains.split_once, so a wrapper installed there counts its splits
-from .chains import _chain_entries, _component, build_chain, chain_violations, witness_from_dict, witness_to_dict
+from .chains import _chain_entries, build_chain, chain_violations, witness_from_dict, witness_to_dict
 from .core import (
     BNProblem,
     VanishingSeq,
@@ -66,6 +65,12 @@ def _get_int(params: dict, key: str) -> int:
     if value < 0:  # every integer parameter is nonnegative
         raise InvalidRequest(f"parameter '{key}' must be >= 0")
     return value
+
+
+def _optional(params: dict, key: str, default):
+    """params[key], or default when it is absent or null."""
+    value = params.get(key)
+    return default if value is None else value
 
 
 def _build_problem(params: dict) -> BNProblem:
@@ -202,8 +207,15 @@ def _cmd_realize(params: dict):
     }
 
 
+# what oracle-verify takes only at the other genus, by genus
+_OTHER_GENUS_PARAMS = {0: ("alpha1", "alpha2", "fixture"), 1: ("a1", "a2")}
+
+
 def _cmd_oracle_verify(params: dict):
     genus = _get_int(params, "genus")
+    for key in _OTHER_GENUS_PARAMS.get(genus, ()):  # refused rather than ignored, as in strata
+        if params.get(key) is not None:
+            raise InvalidRequest(f"'{key}' is a genus-{1 - genus} parameter of oracle-verify")
     if genus == 0:
         r = _get_int(params, "r")
         d = _get_int(params, "d")
@@ -227,9 +239,7 @@ def _cmd_oracle_verify(params: dict):
         }
     if genus == 1:
         p = _build_problem({**params, "g": 1})
-        fixture = params.get("fixture")
-        if fixture is None:  # as for every other optional parameter, null is absent
-            fixture = "general"
+        fixture = _optional(params, "fixture", "general")
         try:
             model = load_fixture(str(fixture))
         except KeyError as exc:
@@ -284,19 +294,18 @@ def iter_sweep(params: dict) -> Iterator[dict]:
     genus, as ``core._ram_entries`` tuples that no ``RamSeq`` wraps; a point's
     criterion is a lookup in its alpha1's ``criterion_table``
     (``criterion_excess`` on 'zero' grids, one point per alpha1).  A nonempty
-    ``chain`` point of genus >= 2 is one ``chains.split_once``, one new genus-1
-    component and its residual's chain from the previous genus layer (off the
-    grid: ``chains._chain_entries``), in the one chain form of ``chains``; its
-    line is ``witness_to_dict``, as for the ``chain`` command.  Lines share no
-    mutable object.
+    ``chain`` point's chain is ``chains._chain_entries`` given the previous
+    genus layer's chains, so at genus >= 2 it costs one split whenever its
+    residual is on the grid; its line is ``witness_to_dict``, as for the
+    ``chain`` command.  Lines share no mutable object.
     """
     g_max = _get_int(params, "g_max")
     r_max = _get_int(params, "r_max")
     d_max = _get_int(params, "d_max")
-    command = params.get("command", "check")
+    command = _optional(params, "command", "check")
     if command not in ("check", "chain"):
         raise InvalidRequest("sweep command must be 'check' or 'chain'")
-    alphas = params.get("alphas", "zero")
+    alphas = _optional(params, "alphas", "zero")
     if alphas not in ("zero", "all"):
         raise InvalidRequest("alphas must be 'zero' or 'all'")
     if alphas == "all" and d_max > 0:  # at d_max = 0 that slice is the grid, counted exactly below
@@ -324,13 +333,8 @@ def iter_sweep(params: dict) -> Iterator[dict]:
                             status, payload = _check(nonempty, rho_value)
                         elif not nonempty:
                             status, payload = _empty(rho_value)
-                        elif g < 2:
-                            chain = layer[d, e1, e2] = ((g, e1, e2, rho_value),)
-                            status, payload = "ok", witness_to_dict((r, d, chain, rho_value))
                         else:
-                            alpha_y, ez = chains.split_once(g, r, d, e1, e2)
-                            tail = tails.get((d, ez, e2)) or _chain_entries(g - 1, r, d, ez, e2)
-                            chain = layer[d, e1, e2] = (_component(1, r, d, e1, alpha_y), *tail)
+                            chain = layer[d, e1, e2] = _chain_entries(g, r, d, e1, e2, tails)
                             status, payload = "ok", witness_to_dict((r, d, chain, rho_value))
                         yield {"params": point, "payload": payload, "status": status}
         tails = layer

@@ -56,38 +56,42 @@ def _enum_budget() -> int:
         raise RuntimeError(f"BN_ENUM_BUDGET must be an integer, got {raw!r}") from None
 
 
+def _max_str_digits() -> int:
+    """The int-to-str digit limit, or CPython's default of 4,300 where the interpreter sets none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
 def refuse_over_budget(size, unit: str, at_least: bool = False, floor_log2: int = 0) -> None:
     """Raise InfeasibleSize when enumerating ``size`` ``unit`` exceeds the budget.
 
     The budget is _enum_budget(); ``at_least`` marks ``size`` as a lower
-    bound.  A size with more decimal digits than int-to-str conversion
-    allows is named by the power of two below it.  ``size`` may be a
-    function computing it, not called when 2^floor_log2 <= size is too long
-    to print (2^(4n) > 10^n for a limit of n digits): that power names it,
-    and it is over the budget, which was parsed from at most n digits.
+    bound.  A size of more decimal digits than _max_str_digits() is named
+    by the power of two below it.  ``size`` may be a function computing it,
+    not called when 2^floor_log2 <= size is too long to print (2^(4n) > 10^n
+    for a limit of n digits) and over the budget: that power names it.
     """
     limit = _enum_budget()
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if 0 < 4 * digits <= floor_log2:
+    digits = _max_str_digits()
+    if 4 * digits <= floor_log2 and limit.bit_length() <= floor_log2:
         raise InfeasibleSize(f"enumeration of at least 2^{floor_log2} {unit} exceeds the budget of {limit}")
     size = size() if callable(size) else size
     if size > limit:
-        try:
-            text = str(size)
-        except ValueError:  # the process-wide digit limit is left as it is
+        if size.bit_length() > 3 * digits and size >= 10**digits:  # 8^n < 10^n: shorter sizes print
             text, at_least = f"2^{size.bit_length() - 1}", True
+        else:
+            text = str(size)
         bound = "at least " if at_least else ""
         raise InfeasibleSize(f"enumeration of {bound}{text} {unit} exceeds the budget of {limit}")
 
 
 def _too_long_to_print(bits: int) -> bool:
-    """Whether 2^bits has more decimal digits than int-to-str conversion allows (never when that is off).
+    """Whether 2^bits has more decimal digits than _max_str_digits().
 
     For a limit of n digits that is 2^bits >= 10^n: never for bits <= 3n,
     as 8^n < 10^n, and otherwise exactly for bits >= (10^n).bit_length().
     """
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    return 0 < 3 * digits < bits and (10**digits).bit_length() <= bits
+    digits = _max_str_digits()
+    return 3 * digits < bits and (10**digits).bit_length() <= bits
 
 
 def _comb_floor_log2(n: int, k: int) -> int:
@@ -170,8 +174,6 @@ class _Seq(_Value):
 
     __slots__ = _fields = ("entries", "d")
 
-    # valid entries cost a type test and one comparison each (scans build many);
-    # _reject words a bad one
     def __init__(self, entries, d):
         try:
             entries = tuple(entries)
@@ -188,16 +190,8 @@ class _Seq(_Value):
         if not 0 <= r <= d:
             raise ValueError(f"need 0 <= r <= d, got r={r}, d={d}")
         bound = d - self._shift * r
-        step = self._step
         low = 0  # the least value the next entry may take, never negative
-        for a in entries:
-            if type(a) is not int or not low <= a <= bound:
-                self._reject(bound)
-            low = a + step
-
-    def _reject(self, bound):
-        r, d, low = self.r, self.d, 0
-        for j, a in enumerate(self.entries):
+        for j, a in enumerate(entries):
             if type(a) is not int:
                 _refuse_non_int(a, f"{self._kind} entry {j}")
             if not 0 <= a <= bound:

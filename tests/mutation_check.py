@@ -51,6 +51,13 @@ MUTANTS = (
         ("tests/test_chains.py::test_verify_rejects_wrong_rho_and_endpoints",),
     ),
     Mutant(
+        "_chain_entries looks up the residual under the genus-1 side's node",
+        "src/bnseries/chains.py",
+        "tails.get((d, alpha_z, alpha2))",
+        "tails.get((d, alpha_y, alpha2))",
+        ("tests/test_sweep.py",),
+    ),
+    Mutant(
         "witness_from_dict admits a genus-2 component",
         "src/bnseries/chains.py",
         "if genus not in (0, 1):",
@@ -67,8 +74,8 @@ MUTANTS = (
     Mutant(
         "_Seq drops its per-entry type test",
         "src/bnseries/core.py",
-        "if type(a) is not int or not low <= a <= bound:",
-        "if not low <= a <= bound:",
+        "if type(a) is not int:\n                _refuse_non_int(a,",
+        "if False:\n                _refuse_non_int(a,",
         ("tests/test_value_classes.py",),
     ),
     Mutant(

@@ -1,3 +1,5 @@
+import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -294,3 +296,17 @@ def test_chain_request_work_counts(g, monkeypatch):
     response, code = run({"command": "chain", "params": {**params, "verify": True, "witness": witness}})
     assert (response["payload"], code) == ({"valid": True, "violations": []}, 0)
     assert counts == Counter(BNProblem=1, RamSeq=2 + sides)
+
+
+def test_a_chain_of_three_times_the_recursion_limit_builds_and_verifies():
+    # one split per component, in a loop: a builder that recursed once per
+    # genus would overflow the stack long before genus 3,000
+    g = 3000
+    assert g >= 3 * sys.getrecursionlimit()
+    params = {"g": g, "r": 1, "d": 1501}  # 2 max(0, 1 - d + g) <= g
+    start = time.perf_counter()
+    response, code = run({"command": "chain", "params": params})
+    assert (code, response["status"], len(response["payload"]["components"])) == (0, "ok", g)
+    verified = run({"command": "chain", "params": {**params, "verify": True, "witness": response}})
+    assert verified == ({"diagnostics": [], "payload": {"valid": True, "violations": []}, "status": "ok"}, 0)
+    assert time.perf_counter() - start < 2

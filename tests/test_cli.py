@@ -202,6 +202,50 @@ def test_oracle_verify_null_fixture_is_the_general_one():
     assert (null[1], null[0]["payload"]["fixture"]) == (0, "general")
 
 
+def test_sweep_null_command_and_alphas_are_the_defaults():
+    grid = {"g_max": 2, "r_max": 1, "d_max": 3}
+    absent = run({"command": "sweep", "params": grid})
+    assert absent[1] == 0
+    assert run({"command": "sweep", "params": {**grid, "command": None, "alphas": None}}) == absent
+    assert run({"command": "sweep", "params": {**grid, "command": "check", "alphas": "zero"}}) == absent
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [("command", "sweep command must be 'check' or 'chain'"), ("alphas", "alphas must be 'zero' or 'all'")],
+)
+@pytest.mark.parametrize("value", ["", 0, False])
+def test_sweep_refuses_an_empty_or_false_command_or_alphas(key, message, value):
+    response, code = run({"command": "sweep", "params": {"g_max": 0, "r_max": 0, "d_max": 0, key: value}})
+    assert (response["diagnostics"], code) == ([message], 1)
+
+
+ORACLE_SIDES = {
+    0: {"genus": 0, "r": 1, "d": 2, "a1": [0, 2], "a2": [0, 1]},
+    1: {"genus": 1, "r": 1, "d": 2, "alpha1": [0, 1], "alpha2": [0, 1]},
+}
+
+
+@pytest.mark.parametrize(
+    "genus, key, value",
+    [(0, "alpha1", [0, 1]), (0, "alpha2", "0,0"), (0, "fixture", "general"), (1, "a1", "0,2"), (1, "a2", [0, 1])],
+)
+def test_oracle_verify_refuses_the_other_genus_parameters(genus, key, value):
+    params = ORACLE_SIDES[genus]
+    response, code = run({"command": "oracle-verify", "params": {**params, key: value}})
+    assert (response["diagnostics"], code) == ([f"'{key}' is a genus-{1 - genus} parameter of oracle-verify"], 1)
+    null = run({"command": "oracle-verify", "params": {**params, key: None}})
+    assert null == run({"command": "oracle-verify", "params": params}) and null[1] == 0
+    genus2 = run({"command": "oracle-verify", "params": {**params, "genus": 2, key: value}})
+    assert (genus2[0]["diagnostics"], genus2[1]) == (["oracle-verify supports genus 0 or 1"], 1)
+
+
+def test_main_oracle_verify_refuses_genus_0_sequences_at_genus_1(capsys):
+    assert main(["oracle-verify", "--genus", "1", "--r", "1", "--d", "2", "--a1", "0,2", "--a2", "0,1"]) == 1
+    response = json.loads(capsys.readouterr().out)
+    assert response["diagnostics"] == ["'a1' is a genus-0 parameter of oracle-verify"]
+
+
 def test_oracle_verify_holds_profile_tables_against_the_budget(monkeypatch):
     # r + 1 > n = d: no subspace to count, but d + 2 tables of (d + 1)^2 entries
     monkeypatch.delenv("BN_ENUM_BUDGET", raising=False)
@@ -604,6 +648,43 @@ def test_absurd_strata_and_sweep_sizes_are_refused_without_their_binomial(monkey
              "diagnostics": [f"InfeasibleSize: enumeration of at least {size} exceeds the budget of 10000000"]},
             2,
         )
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="needs sys.set_int_max_str_digits")
+def test_refusals_stay_bounded_without_a_digit_limit(monkeypatch):
+    # with the limit off, CPython's default of 4,300 digits decides what a
+    # refusal prints, so no over-budget size is computed or printed in full
+    from bnseries.core import InfeasibleSize, refuse_over_budget
+
+    monkeypatch.delenv("BN_ENUM_BUDGET", raising=False)
+    requests = [
+        ({"command": "oracle-verify", "params": {"genus": 0, "r": 0, "d": 10**9, "a1": [0], "a2": [0]}},
+         "at least 2^1000000000 subspaces"),
+        ({"command": "oracle-verify", "params": {"genus": 1, "r": 0, "d": 10**9, "alpha1": [0], "alpha2": [0]}},
+         "at least 2^999999999 subspaces"),
+        ({"command": "strata", "params": {"r": 500000, "d": 1000000}}, "at least 2^500000 strata"),
+    ]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for request, size in requests:
+            start = time.perf_counter()
+            response, code = run(request)
+            elapsed = time.perf_counter() - start
+            assert (response["diagnostics"], code) == (
+                [f"InfeasibleSize: enumeration of {size} exceeds the budget of 10000000"], 2
+            ), request
+            assert elapsed < 0.05, request
+        # 4,300 digits print in full, and 10^4300 is named by the power of two below it
+        for size, text in ((10**4300 - 1, str(10**4300 - 1)), (10**4300, f"at least 2^{(10**4300).bit_length() - 1}")):
+            with pytest.raises(InfeasibleSize) as exc:
+                refuse_over_budget(size, "entries")
+            assert str(exc.value) == f"enumeration of {text} entries exceeds the budget of 10000000"
+        # a budget of more digits than that can exceed an unprintable 2^17200
+        monkeypatch.setenv("BN_ENUM_BUDGET", str(10**6000))
+        assert refuse_over_budget(lambda: 2**17200, "entries", floor_log2=17200) is None
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def _counting_comb(monkeypatch):

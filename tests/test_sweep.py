@@ -4,8 +4,8 @@ The reference answers each grid point on its own, as the ``check`` and
 ``chain`` commands do: ``problem()`` builds it and ``build_chain`` builds its
 whole chain.  The grids cover r = 1 over d = 2..6, where one entry tuple is
 a valid sequence under several d, so chains looked up under a key without d
-would come from the wrong context.  The ``zero`` grids take the sweep's
-``chains._chain_entries`` path for residuals off the grid.
+would come from the wrong context.  On the ``zero`` grids most residuals are
+off the grid, and ``chains._chain_entries`` splits them down to genus 1.
 """
 
 from collections import Counter
@@ -123,6 +123,35 @@ def test_sweep_work_counts(monkeypatch):
         assert counts == Counter(split_once=splits + want), line["params"]
         splits += want
     assert splits == 605
+
+
+def test_zero_sweep_split_counts(monkeypatch):
+    # A 'zero' grid holds one genus-(g - 1) chain per (r, d), the one with
+    # all-zero sides: a nonempty point of genus g >= 2 whose residual is that
+    # problem costs one split, and any other costs g - 1, as build_chain does.
+    splits = []
+    split_once = chains.split_once
+
+    def counted_split(*args):
+        splits.append(args)
+        return split_once(*args)
+
+    monkeypatch.setattr(chains, "split_once", counted_split)
+    kinds, total = Counter(), 0
+    for line in iter_sweep({"g_max": 6, "r_max": 2, "d_max": 8, "command": "chain", "alphas": "zero"}):
+        g, work = line["params"]["g"], len(splits)
+        splits.clear()
+        if line["status"] != "ok" or g < 2:
+            assert work == 0, line["params"]
+            continue
+        on_grid = not any(line["payload"]["components"][1]["left"])
+        assert work == (1 if on_grid else g - 1), line["params"]
+        kinds[g, on_grid] += 1
+        total += work
+    assert kinds == Counter({(g, True): 1 for g in range(2, 7)}) + Counter(
+        {(2, False): 20, (3, False): 19, (4, False): 18, (5, False): 16, (6, False): 16}
+    )
+    assert total == 261
 
 
 @pytest.mark.parametrize("command", ["check", "chain"])
