@@ -7,12 +7,9 @@ a node where the sequences are exact complements, the outer ends carry the
 imposed alpha1 and alpha2, and every component passes the genus-0/1 base-case
 criterion.  Component rho values then add up to rho of the original problem.
 
-``split_once`` peels one genus-1 component off a genus >= 2 problem.  Its
-candidate nodes are the reversed alpha1 complement lowered by one (clamped at
-0), then that sequence with one run's last slot raised, rightmost run first:
-lexicographic order.  It keeps the first valid on both sides in O(r), by
-updating the two sides' criterion sums per candidate.  One bounded memo
-(1024 entries, r < 64 only) holds the part that only alpha1 decides.
+``split_once`` peels one genus-1 component off a genus >= 2 problem in one
+O(r) pass: its node is the lowered alpha1 complement, with one slot raised
+exactly when the criterion is tight.
 
 A chain has one form: a tuple of ``(genus, left, right, rho)`` components,
 their sequences as entry tuples.  A witness is ``(r, d, chain, total_rho)``:
@@ -25,71 +22,49 @@ first residual's chain from them when it is there, instead of splitting on.
 """
 
 import json
-from functools import lru_cache
 
 from .core import BNProblem, RamSeq, criterion_excess, gaps, nonempty_criterion, rho, rho_from_totals
 from .strata import complement_entries
-
-
-class ConstructionFailed(RuntimeError):
-    """No candidate split validates; must not happen when the criterion holds."""
-
-# split_once's memo: _MEMO_SIZE entries, for r < _MEMO_R only; about 6 MB at worst
-_MEMO_SIZE, _MEMO_R = 1024, 64
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _genus1_side(alpha1: tuple[int, ...], d: int) -> tuple:
-    """(base, gaps1, order): split_once's candidates as far as alpha1 decides them.
-
-    base[k] = max(0, d - r - 1 - alpha1[r - k]) is nondecreasing, so raising
-    slot k to d - r - alpha1[r - k] and sorting raises the last slot t of k's
-    run: the candidates are base (None), then run ends t from right to left.
-    ``order`` keeps those valid against alpha1, read off base's gaps gaps1:
-    raising t adds 1 to gaps1[r - t], already 1 where the raise changes nothing.
-    """
-    r = len(alpha1) - 1
-    base = tuple([max(0, d - r - 1 - a) for a in reversed(alpha1)])
-    gaps1 = gaps(alpha1, base, d - r - 1)
-    excess = sum(s for s in gaps1 if s > 0)
-    order = [None] if excess <= 1 else []
-    for t in range(r, -1, -1):
-        if (t == r or base[t] < base[t + 1]) and excess + (gaps1[r - t] >= 0) <= 1:
-            order.append(t)
-    return base, gaps1, tuple(order)
 
 
 def split_once(g: int, r: int, d: int, alpha1: tuple, alpha2: tuple) -> tuple[tuple, tuple]:
     """Split one genus-1 component off the genus >= 2 problem (g, r, d, alpha1, alpha2) of entry tuples.
 
     The tuples must be entries of valid sequences in the (r, d) context; they
-    are not checked here.  Returns the node's entry tuples (alpha_y, alpha_z),
-    alpha_z = complement_entries(alpha_y, d - r), such that the genus-1 problem
-    (alpha1, alpha_y) and the residual genus-(g-1) problem (alpha_z, alpha2)
-    both satisfy the nonemptiness criterion; alpha_y is the first such
-    candidate of ``_genus1_side``.  Costs O(r): at a refined node the
-    problem's criterion gaps are the genus-1 gaps plus the residual gaps, and
-    raising slot t of the candidate takes 1 off residual gap r - t.
+    are not checked here.  Returns the node (alpha_y, alpha_z), alpha_z =
+    complement_entries(alpha_y, d - r), first in lexicographic order where
+    (alpha1, alpha_y) at genus 1 and (alpha_z, alpha2) at genus g - 1 pass the
+    criterion, among y[k] = max(0, d - r - 1 - alpha1[r - k]) and its sorted
+    one-slot raises to d - r - alpha1[r - k].  That is y, raised at r - j for
+    the first j of positive gap w[j] = alpha1[j] + alpha2[r - j] - (d - r - g)
+    when the sum is g and alpha1[-1] < d - r.  Proof:
+    - y's genus-1 gaps are 1 where alpha1[j] = d - r, else 0: their sum is the
+      count c of such j, and a raise adds 1.  There w[j] = alpha2[r - j] + g,
+      so c >= 2 is refused; c = 0 exactly when alpha1[-1] < d - r.
+    - At a refined node the problem's gaps are the genus-1 gaps plus the
+      residual gaps, so y is valid unless c = 0 and the sum is exactly g.
+    - Then raising slot t is valid exactly when w[r - t] > 0.  It stays sorted
+      when j = r - t starts a run of alpha1, and a later t sorts first.  Gaps
+      do not increase along a run, so the first positive j starts its run.
     """
     if g < 2:
         raise ValueError("split_once needs genus >= 2")
-    whole = gaps(alpha1, alpha2, d - r - g)  # the problem's criterion, checked before any memo
+    whole = gaps(alpha1, alpha2, d - r - g)
     total = 0  # a loop: a generator's sum costs twice as much on these short sequences
     for s in whole:
         if s > 0:
             total += s
     if total > g:
         raise ValueError("split_once needs a problem satisfying the criterion")
-    base, gaps1, order = (_genus1_side if r < _MEMO_R else _genus1_side.__wrapped__)(alpha1, d)
-    excess = 0  # of the residual side at base, whose gaps are whole - gaps1
-    for s, s1 in zip(whole, gaps1):
-        if s > s1:
-            excess += s - s1
-    for t in order:
-        if excess - (t is not None and whole[r - t] > gaps1[r - t]) <= g - 1:
-            alpha_y = base if t is None else base[:t] + (base[t] + 1,) + base[t + 1:]
-            return alpha_y, complement_entries(alpha_y, d - r)
-    raise ConstructionFailed(f"no valid split for g={g}, r={r}, d={d}, alpha1={alpha1}, alpha2={alpha2}")
+    low = d - r - 1
+    y = [low - a if a <= low else 0 for a in reversed(alpha1)]
+    if total == g and alpha1[-1] <= low:
+        for j, s in enumerate(whole):
+            if s > 0:
+                y[r - j] += 1
+                break
+    alpha_y = tuple(y)
+    return alpha_y, complement_entries(alpha_y, d - r)
 
 
 def _component(genus: int, r: int, d: int, left: tuple, right: tuple) -> tuple:

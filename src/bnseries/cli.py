@@ -423,7 +423,7 @@ def _build_parser():
 def _load_json(text: str, what: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, an over-long integer, or deep nesting
         raise InvalidRequest(f"{what} is not valid JSON: {exc}") from exc
 
 

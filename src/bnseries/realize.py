@@ -17,6 +17,7 @@ for at most one j; equality at j forces L = O(a1_j P1 + a2_{r-j} P2).
 All linear algebra is exact and division-free, so integer rows stay integer.
 """
 
+import sys
 from math import gcd, lcm
 
 from .core import VanishingSeq, _refuse_non_ints, _set, _Value, gaps
@@ -27,7 +28,11 @@ class DegenerateBasis(ValueError):
 
 
 class G0Series(_Value):
-    """Basis of polynomials, each a coefficient vector c_0..c_d (low to high)."""
+    """Basis of polynomials, each a coefficient vector c_0..c_d (low to high).
+
+    Each coefficient is exactly an int or a ``fractions.Fraction``: a float,
+    a bool or a string is refused.
+    """
 
     __slots__ = _fields = ("d", "basis")
 
@@ -41,9 +46,14 @@ class G0Series(_Value):
         _set(self, "_key", (d, basis))
         if type(d) is not int:
             _refuse_non_ints({"d": d})
-        for row in basis:
+        for i, row in enumerate(basis):
             if len(row) != d + 1:
                 raise ValueError(f"coefficient vectors must have length d+1={d + 1}")
+            if not all(type(x) is int for x in row):
+                fraction = getattr(sys.modules.get("fractions"), "Fraction", ())  # loaded if any entry is one
+                for k, x in enumerate(row):
+                    if type(x) is not int and not isinstance(x, fraction):
+                        raise ValueError(f"basis[{i}][{k}] must be an int or a Fraction, got {x!r}")
 
 
 class LineBundleDescriptor(_Value):
@@ -132,17 +142,14 @@ def g0_vanishing_check(s: G0Series) -> tuple[VanishingSeq, VanishingSeq]:
 
     Row-reduces the coefficient rows with lead_positions in increasing-power
     order for 0 and in decreasing-power order for infinity; the leads are the
-    orders of an adapted basis.  A row holding a non-int (a Fraction, say) is
+    orders of an adapted basis.  A row holding a non-integral Fraction is
     first scaled to ints by the lcm of its denominators, which keeps its leads,
     so rows stay small.  Raises DegenerateBasis for dependent input.
     """
     rows = []
     for row in s.basis:
-        if not all(type(x) is int for x in row):
-            ratios = [x.as_integer_ratio() for x in row]
-            m = lcm(*(den for _, den in ratios))
-            row = [num * (m // den) for num, den in ratios]
-        rows.append(row)
+        m = lcm(*[x.denominator for x in row])  # 1 on an int row
+        rows.append(row if m == 1 else [x.numerator * (m // x.denominator) for x in row])
     at0 = lead_positions(rows, range(s.d + 1))
     at_inf = lead_positions(rows, range(s.d, -1, -1))
     if len(at0) < len(s.basis) or len(at_inf) < len(s.basis):

@@ -39,9 +39,23 @@ MUTANTS = (
     Mutant(
         "split_once admits a residual one over the criterion",
         "src/bnseries/chains.py",
-        "if excess - (t is not None and whole[r - t] > gaps1[r - t]) <= g - 1:",
-        "if excess - (t is not None and whole[r - t] > gaps1[r - t]) <= g:",
+        "alpha1[-1] <= low",
+        "alpha1[-1] < low",
         ("tests/test_chains.py::test_soundness_and_completeness_small_grid",),
+    ),
+    Mutant(
+        "split_once raises the node with one to spare",
+        "src/bnseries/chains.py",
+        "if total == g and",
+        "if total >= g - 1 and",
+        ("tests/test_split.py",),
+    ),
+    Mutant(
+        "split_once raises every positive gap",
+        "src/bnseries/chains.py",
+        "y[r - j] += 1\n                break",
+        "y[r - j] += 1",
+        ("tests/test_split.py",),
     ),
     Mutant(
         "chain_violations checks only the left endpoint's context",

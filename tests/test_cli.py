@@ -329,6 +329,33 @@ def test_cli_witness_file(tmp_path):
     assert json.loads(verify.stdout)["payload"]["valid"]
 
 
+def _unparsable(kind):
+    """JSON text that json.loads refuses with more than a JSONDecodeError."""
+    if kind == "deep":
+        return "[" * 100_000
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no int-to-str digit limit")
+    return '{"command": "rho", "params": {"g": ' + "1" * (limit + 1) + "}}"
+
+
+@pytest.mark.parametrize("kind", ["deep", "long integer"])
+@pytest.mark.parametrize("what", ["request", "witness"])
+def test_main_refuses_deeply_nested_or_over_long_json_as_invalid(what, kind, tmp_path, capsys):
+    text = _unparsable(kind)
+    if what == "request":
+        argv = ["--json", text]
+    else:
+        (tmp_path / "witness.json").write_text(text)
+        argv = ["chain", "--g", "2", "--r", "1", "--d", "3", "--verify", "--witness-file", str(tmp_path / "witness.json")]
+    assert main(argv) == 1
+    response = json.loads(capsys.readouterr().out)
+    assert response["status"] == "error"
+    [message] = response["diagnostics"]
+    assert message.startswith(f"{what} is not valid JSON: "), message
+    assert ("recursion" if kind == "deep" else "digits") in message
+
+
 def test_cli_malformed_flag_value():
     proc = invoke(["check", "--g", "2", "--r", "1", "--d", "3", "--alpha1", "1,0"])
     assert proc.returncode == 1

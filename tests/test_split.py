@@ -4,30 +4,18 @@
 reference builds the whole family of node candidates, sorted and
 deduplicated, and tests each on both sides with ``criterion_excess``: O(r)
 candidates of O(r) entries each.  ``split_once`` must pick the same first
-valid candidate from its O(r) scan.  The work tests count calls, not time,
-and clear the memo first.
+valid candidate in its one O(r) pass.  The work tests count calls, not time.
 """
 
 from itertools import combinations_with_replacement, islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bnseries import chains, core
-from bnseries.chains import ConstructionFailed, split_once
-from bnseries.cli import iter_sweep
+from bnseries.chains import build_chain, chain_violations, split_once
 from bnseries.core import RamSeq, criterion_excess, problem
 from bnseries.strata import complement_entries
-
-MEMOS = (chains._genus1_side,)
-
-
-@pytest.fixture
-def cold_memos():
-    for memo in MEMOS:
-        memo.cache_clear()
-    yield
-    for memo in MEMOS:
-        memo.cache_clear()
 
 
 def reference_candidates(r, d, alpha1):
@@ -54,10 +42,10 @@ def reference_split(g, r, d, alpha1, alpha2):
         alpha_z = complement_entries(alpha_y, d - r)
         if criterion_excess(g - 1, r, d, alpha_z, alpha2) <= g - 1:
             return alpha_y, alpha_z
-    raise ConstructionFailed("no valid split")
+    raise AssertionError("no valid split")
 
 
-def test_split_once_chooses_the_reference_split(cold_memos):
+def test_split_once_chooses_the_reference_split():
     checked = 0
     for g in range(2, 5):
         for d in range(9):
@@ -75,9 +63,8 @@ def test_split_once_chooses_the_reference_split(cold_memos):
     assert checked == 12_849
 
 
-@pytest.mark.parametrize("r_max, d_max, splits", [(3, 6, 1050), (chains._MEMO_R, chains._MEMO_R + 2, 4347)])
-def test_split_once_returns_a_pair_of_entry_tuples(r_max, d_max, splits, cold_memos):
-    # from _MEMO_R on the split reads no memo; the second grid covers both sides of it
+@pytest.mark.parametrize("r_max, d_max, splits", [(3, 6, 1050), (64, 66, 4347)])
+def test_split_once_returns_a_pair_of_entry_tuples(r_max, d_max, splits):
     checked = 0
     for g in (2, 3):
         for d in range(d_max - 2, d_max + 1):
@@ -96,15 +83,50 @@ def test_split_once_returns_a_pair_of_entry_tuples(r_max, d_max, splits, cold_me
     assert checked == splits
 
 
-def test_genus1_side_lists_the_reference_candidates_valid_against_alpha1(cold_memos):
-    for d in range(9):
-        for r in range(min(4, d) + 1):
-            for alpha1 in combinations_with_replacement(range(d - r + 1), r + 1):
-                base, gaps1, order = chains._genus1_side(alpha1, d)
-                raised = [base if t is None else base[:t] + (base[t] + 1,) + base[t + 1:] for t in order]
-                want = [y for y in reference_candidates(r, d, alpha1) if criterion_excess(1, r, d, alpha1, y) <= 1]
-                assert raised == want, (d, alpha1)
-                assert gaps1 == core.gaps(alpha1, base, d - r - 1)
+@st.composite
+def criterion_problems(draw):
+    """(g, r, d, alpha1, alpha2) entry tuples passing the criterion by construction, tight about half the time.
+
+    d - r starts a small slack above the largest entry and grows until the
+    drawn sequences pass.  A tight draw then raises alpha2 entries one at a
+    time, each where the raise keeps alpha2 sorted and its pairing gap is
+    nonnegative when there is one, until the criterion sum is g.
+    """
+    g, r = draw(st.integers(2, 6)), draw(st.integers(0, 30))
+    rows = st.lists(st.integers(0, 12), min_size=r + 1, max_size=r + 1).map(sorted)
+    alpha1, alpha2 = tuple(draw(rows)), draw(rows)
+    n = max(alpha1[-1], alpha2[-1]) + draw(st.sampled_from((0, 0, 1, 2)))  # n = d - r
+    while criterion_excess(g, r, n + r, alpha1, tuple(alpha2)) > g:
+        n += 1
+    if draw(st.booleans()):
+        while (total := criterion_excess(g, r, n + r, alpha1, tuple(alpha2))) < g:
+            raisable = [k for k in range(r + 1) if alpha2[k] < (n if k == r else alpha2[k + 1])]
+            paying = [k for k in raisable if alpha1[r - k] + alpha2[k] >= n - g]
+            # with none, the top entry rises toward n, where its gap is alpha1[0] + g >= g
+            alpha2[draw(st.sampled_from(paying)) if paying else r] += 1
+        assert total == g
+    return g, r, n + r, alpha1, tuple(alpha2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(criterion_problems())
+def test_split_once_chooses_the_reference_split_up_to_r_30(case):
+    g, r, d, alpha1, alpha2 = case
+    assert split_once(g, r, d, alpha1, alpha2) == reference_split(g, r, d, alpha1, alpha2)
+
+
+def test_a_tight_split_at_r_20000_raises_one_slot_of_the_lowered_complement():
+    # d - r = 4 and g = 2; the gaps are positive at j = h (a run start of alpha1) and j = r only
+    r, h = 20_000, 10_000
+    alpha1 = (0,) * h + (2,) * (r - h) + (3,)
+    alpha2 = (0,) * (r - h) + (1,) * (h + 1)
+    p = problem(2, r, r + 4, alpha1, alpha2)
+    assert criterion_excess(2, r, r + 4, alpha1, alpha2) == 2 and 4 not in alpha1 + alpha2
+    alpha_y, _ = split_once(2, r, r + 4, alpha1, alpha2)
+    lowered = [max(0, 3 - a) for a in reversed(alpha1)]
+    assert [k for k in range(r + 1) if alpha_y[k] != lowered[k]] == [r - h]
+    assert alpha_y[r - h] == lowered[r - h] + 1
+    assert chain_violations(build_chain(p), p) == []
 
 
 def _count_work(monkeypatch):
@@ -127,15 +149,12 @@ def _count_work(monkeypatch):
 
 
 @pytest.mark.parametrize("r", [3, 20_000])
-def test_a_split_calls_gaps_at_most_twice_and_builds_at_most_two_sequences(r, cold_memos, monkeypatch):
+def test_a_split_calls_gaps_once_and_builds_no_sequence(r, monkeypatch):
     # the old family scan made r + 2 sorted candidates: O(r^2) at large r
     p = problem(2, r, 2 * r, alpha1=[0] * r + [1], alpha2=[0] * r + [1])
     calls = _count_work(monkeypatch)
     alpha_y, alpha_z = split_once(p.g, p.r, p.d, p.alpha1.entries, p.alpha2.entries)
-    assert calls == {"gaps": 2, "RamSeq": 0}
-    assert split_once(p.g, p.r, p.d, p.alpha1.entries, p.alpha2.entries) == (alpha_y, alpha_z)
-    if r < chains._MEMO_R:  # a repeat reads the memo: one gaps call, for the criterion of p
-        assert calls == {"gaps": 3, "RamSeq": 0}
+    assert calls == {"gaps": 1, "RamSeq": 0}
     monkeypatch.undo()
     assert alpha_z == complement_entries(alpha_y, r)
     assert criterion_excess(1, r, 2 * r, p.alpha1.entries, alpha_y) <= 1
@@ -143,29 +162,6 @@ def test_a_split_calls_gaps_at_most_twice_and_builds_at_most_two_sequences(r, co
 
 
 @pytest.mark.parametrize("p", [problem(1, 1, 3), problem(2, 1, 2, (0, 1), (0, 1))])
-def test_a_refused_split_fills_no_memo(p, cold_memos):
+def test_split_once_refuses_genus_below_2_and_a_failing_criterion(p):
     with pytest.raises(ValueError, match="split_once needs"):
         split_once(p.g, p.r, p.d, p.alpha1.entries, p.alpha2.entries)
-    assert [memo.cache_info().currsize for memo in MEMOS] == [0]
-
-
-def test_memos_are_bounded():
-    for memo in MEMOS:
-        maxsize = memo.cache_info().maxsize
-        assert maxsize is not None and 0 < maxsize <= 4096
-
-
-def test_genus1_side_is_computed_once_per_alpha1_row(cold_memos, monkeypatch):
-    rows = set()
-    original = chains.split_once
-
-    def counted(g, r, d, alpha1, alpha2):
-        rows.add((alpha1, d))
-        return original(g, r, d, alpha1, alpha2)
-
-    monkeypatch.setattr(chains, "split_once", counted)
-    lines = list(iter_sweep({"g_max": 4, "r_max": 2, "d_max": 5, "command": "chain", "alphas": "all"}))
-    info = chains._genus1_side.cache_info()
-    assert len(rows) > 1 and info.hits > 0
-    assert info.misses == info.currsize == len(rows)
-    assert info.hits + info.misses == sum(line["params"]["g"] >= 2 and line["status"] == "ok" for line in lines)

@@ -196,6 +196,10 @@ NON_INT_ERRORS = [
     (lambda: EllipticModel(53, 0, 1, (52, 0), (0, 1), 6.0), "order_diff must be an int, got 6.0"),
     (lambda: G0Series(2.0, ((1, 0, 0),)), "d must be an int, got 2.0"),
     (lambda: G0Series("2", ((1, 0, 0),)), "d must be an int, got '2'"),
+    (lambda: G0Series(2, ((0.5, 0, 0), (0, 1e-300, 0))), "basis[0][0] must be an int or a Fraction, got 0.5"),
+    (lambda: G0Series(2, ((1, 0, 0), (0, 1e-300, 0))), "basis[1][1] must be an int or a Fraction, got 1e-300"),
+    (lambda: G0Series(2, ((True, 0, 0),)), "basis[0][0] must be an int or a Fraction, got True"),
+    (lambda: G0Series(2, (("1", 0, 0),)), "basis[0][0] must be an int or a Fraction, got '1'"),
 ]
 
 
